@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -85,7 +86,11 @@ def default_taxonomy() -> Taxonomy:
 
 @dataclass
 class ModelFile:
-    """Serialized linear classifier: taxonomy, vocabulary, weights, bias."""
+    """Serialized linear classifier: taxonomy, vocabulary, weights, bias.
+
+    Scoring reads a column-major copy of the weights built on the first
+    prediction, so a model must not be mutated once it has scored a line.
+    """
 
     format_version: int
     taxonomy: Taxonomy
@@ -126,6 +131,12 @@ class ModelFile:
         for key, value in self.metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise SchemaViolation("metadata", f"entries must be string/string, got {key!r}")
+
+    @cached_property
+    def _columns(self) -> dict[str, tuple[float, ...]]:
+        """token -> its weight in every category, in taxonomy order."""
+        columns = list(zip(*self.weights))
+        return {token: columns[index] for token, index in self.vocabulary.items()}
 
 
 @dataclass(frozen=True)
@@ -303,17 +314,18 @@ def predict_line(model: ModelFile, tokens) -> Prediction:
     Ties break toward the lowest taxonomy index. An empty token list is
     scored on the bias alone.
     """
+    columns = model._columns
+    counts: dict[str, int] = {}
+    for token in tokens:
+        if token in columns:
+            counts[token] = counts.get(token, 0) + 1
+    # One weight * count term per distinct token, in first-occurrence order:
+    # summing per occurrence, or in another order, moves the last bits of the
+    # scores, and ties break on exact equality.
     scores = list(model.bias)
-    for token, count in Counter(tokens).items():
-        index = model.vocabulary.get(token)
-        if index is None:
-            continue
-        for c, row in enumerate(model.weights):
-            scores[c] += row[index] * count
-    best = 0
-    for c in range(1, len(scores)):
-        if scores[c] > scores[best]:
-            best = c
+    for token, count in counts.items():
+        scores = [s + w * count for s, w in zip(scores, columns[token])]
+    best = scores.index(max(scores))
     peak = scores[best]
     exps = [math.exp(s - peak) for s in scores]
     confidence = exps[best] / sum(exps)

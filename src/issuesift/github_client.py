@@ -385,10 +385,16 @@ class Session:
             if not isinstance(items, list):
                 raise NetworkFailure(f"comments endpoint returned a non-list for issue {issue.id}")
             for item in items:
+                comment_id = item.get("id") if isinstance(item, dict) else None
+                if not isinstance(comment_id, int) or isinstance(comment_id, bool):
+                    raise NetworkFailure(
+                        f"comments endpoint returned an item without an integer id "
+                        f"for issue {issue.id}"
+                    )
                 comments.append(
                     RawComment(
                         issue_id=issue.id,
-                        comment_id=int(item["id"]),
+                        comment_id=comment_id,
                         author_login=(item.get("user") or {}).get("login") or "",
                         body=item.get("body") or "",
                         created_at=item.get("created_at") or "",

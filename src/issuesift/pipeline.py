@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 from .classifier import ModelFile, Prediction, classify_lines
 from .errors import GitHubError, UnknownCategory
-from .github_client import IssueRef, RawComment, Session
+from .github_client import SORT_KEYS, IssueRef, RawComment, Session
 from .text_prep import PrepConfig, ProcessedLine, preprocess_comment
 
 OMISSION_REASONS = ("no_strict_match", "no_discussion", "fetch_failed", "category_filtered")
-SORT_KEYS = ("best-match", "comments", "created", "updated", "reactions")
 STRICT_SCOPES = ("issue", "comment")
 
 

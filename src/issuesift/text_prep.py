@@ -55,6 +55,10 @@ class PrepConfig:
     url_token: str = DEFAULT_URL_TOKEN
     quote_token: str = DEFAULT_QUOTE_TOKEN
     code_token: str = DEFAULT_CODE_TOKEN
+    # Derived from the fields above once, at construction: the per-line hot
+    # path reads them for every token. Excluded from equality and hashing.
+    placeholders: frozenset[str] = field(init=False, compare=False, repr=False)
+    all_stop_words: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name, token in (
@@ -69,14 +73,9 @@ class PrepConfig:
             # stops is fine — the removal step exempts placeholder tokens.
             if token in self.stop_words or token in self.custom_stop_words:
                 raise ValueError(f"{name} {token!r} collides with a stop word")
-
-    @property
-    def placeholders(self) -> frozenset[str]:
-        return frozenset((self.mention_token, self.url_token, self.quote_token, self.code_token))
-
-    @property
-    def all_stop_words(self) -> frozenset[str]:
-        return self.stop_words | self.custom_stop_words
+        placeholders = (self.mention_token, self.url_token, self.quote_token, self.code_token)
+        object.__setattr__(self, "placeholders", frozenset(placeholders))
+        object.__setattr__(self, "all_stop_words", self.stop_words | self.custom_stop_words)
 
     @classmethod
     def default(cls, custom_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":
@@ -103,21 +102,7 @@ class ProcessedLine:
         return " ".join(self.tokens)
 
 
-def load_stop_words(path: str | Path) -> frozenset[str]:
-    """Read a stop-word file: one lowercase word per line, `#` comments allowed."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.add(word.lower())
-    return frozenset(words)
-
-
-@lru_cache(maxsize=1)
-def default_stop_words() -> frozenset[str]:
-    """The vendored English stop-word list shipped with the package."""
-    text = resources.files("issuesift").joinpath("data/stopwords_en.txt").read_text("utf-8")
+def _parse_stop_words(text: str) -> frozenset[str]:
     words = set()
     for line in text.splitlines():
         word = line.strip()
@@ -126,15 +111,35 @@ def default_stop_words() -> frozenset[str]:
     return frozenset(words)
 
 
+def load_stop_words(path: str | Path) -> frozenset[str]:
+    """Read a stop-word file: one lowercase word per line, `#` comments allowed."""
+    return _parse_stop_words(Path(path).read_text(encoding="utf-8"))
+
+
+@lru_cache(maxsize=1)
+def default_stop_words() -> frozenset[str]:
+    """The vendored English stop-word list shipped with the package."""
+    return _parse_stop_words(
+        resources.files("issuesift").joinpath("data/stopwords_en.txt").read_text("utf-8")
+    )
+
+
 def _replace_once(text: str, config: PrepConfig) -> str:
-    text = _FENCED_CODE_RE.sub(config.code_token, text)
-    text = _DOUBLE_TICK_RE.sub(config.code_token, text)
-    text = _INLINE_CODE_RE.sub(config.code_token, text)
-    text = _DANGLING_TICK_RE.sub(config.code_token, text)
-    text = _URL_RE.sub(config.url_token, text)
-    text = _MENTION_RE.sub(config.mention_token, text)
-    text = _DQUOTE_RE.sub(config.quote_token, text)
-    text = _SQUOTE_RE.sub(config.quote_token, text)
+    # A stage whose trigger character is absent cannot match, so its sub
+    # would return the text unchanged; skipping it keeps the precedence.
+    if "`" in text:
+        text = _FENCED_CODE_RE.sub(config.code_token, text)
+        text = _DOUBLE_TICK_RE.sub(config.code_token, text)
+        text = _INLINE_CODE_RE.sub(config.code_token, text)
+        text = _DANGLING_TICK_RE.sub(config.code_token, text)
+    if "://" in text:
+        text = _URL_RE.sub(config.url_token, text)
+    if "@" in text:
+        text = _MENTION_RE.sub(config.mention_token, text)
+    if '"' in text:
+        text = _DQUOTE_RE.sub(config.quote_token, text)
+    if "'" in text:
+        text = _SQUOTE_RE.sub(config.quote_token, text)
     return text
 
 
@@ -187,9 +192,14 @@ def normalize(line: str, config: PrepConfig | None = None) -> list[str]:
     placeholders = config.placeholders
     out = []
     for token in line.split():
-        core = _strip_edges(token)
-        if not core:
-            continue
+        # Most tokens already start and end on a kept character.
+        first, last = token[0], token[-1]
+        if (first.isalnum() or first in _EDGE_KEEP) and (last.isalnum() or last in _EDGE_KEEP):
+            core = token
+        else:
+            core = _strip_edges(token)
+            if not core:
+                continue
         out.append(core if core in placeholders else core.lower())
     return out
 

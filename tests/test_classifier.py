@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURE_SMALL
+
 from issuesift.classifier import (
     FORMAT_VERSION,
     LabeledCorpus,
@@ -30,7 +32,8 @@ from issuesift.errors import (
     UnknownCategory,
     UnsupportedVersion,
 )
-from issuesift.text_prep import ProcessedLine
+from issuesift.github_client import open_session
+from issuesift.text_prep import PrepConfig, ProcessedLine, preprocess_comment
 
 TWO_CLASS = Taxonomy(("A", "B"))
 
@@ -384,3 +387,61 @@ class TestTaxonomy:
     def test_index_of_unknown(self):
         with pytest.raises(UnknownCategory):
             TWO_CLASS.index_of("missing")
+
+
+def ref_predict_line(model, tokens):
+    """The original row-major scorer: Counter, then a loop over every row."""
+    scores = list(model.bias)
+    for token, count in Counter(tokens).items():
+        index = model.vocabulary.get(token)
+        if index is None:
+            continue
+        for c, row in enumerate(model.weights):
+            scores[c] += row[index] * count
+    best = 0
+    for c in range(1, len(scores)):
+        if scores[c] > scores[best]:
+            best = c
+    peak = scores[best]
+    exps = [math.exp(s - peak) for s in scores]
+    return model.taxonomy.categories[best], tuple(scores), exps[best] / sum(exps)
+
+
+BUNDLED = load_default_model()
+OUT_OF_VOCABULARY = ["zzz-not-a-word", "CODE", "Fix", "", "tf.function", "日本"]
+
+
+def golden_fixture_lines():
+    session = open_session(None, mode="replay", fixture_dir=FIXTURE_SMALL)
+    prep = PrepConfig.default()
+    return [
+        line
+        for issue in session.search_issues("tf.function", limit=1000)
+        for comment in session.fetch_comments(issue)
+        for line in preprocess_comment(comment, prep)
+    ]
+
+
+class TestColumnScoringMatchesReference:
+    def assert_same(self, model, tokens):
+        category, scores, confidence = ref_predict_line(model, tokens)
+        prediction = predict_line(model, tokens)
+        assert prediction.scores == scores
+        assert prediction.confidence == confidence
+        assert prediction.category == category
+
+    def test_golden_fixture_lines(self):
+        lines = golden_fixture_lines()
+        assert len(lines) > 10
+        for line in lines:
+            self.assert_same(BUNDLED, line.tokens)
+
+    @given(st.lists(st.sampled_from(sorted(BUNDLED.vocabulary) + OUT_OF_VOCABULARY), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_random_token_lists(self, tokens):
+        self.assert_same(BUNDLED, tokens)
+
+    def test_repeated_tokens_use_count_times_weight(self):
+        token = sorted(BUNDLED.vocabulary)[0]
+        for count in range(1, 12):
+            self.assert_same(BUNDLED, [token] * count + ["oov"] + [token])

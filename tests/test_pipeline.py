@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift.classifier import LabeledCorpus, Taxonomy, train_baseline
@@ -317,6 +318,37 @@ class TestRun:
         omitted_ids = {o.issue.id for o in omitted}
         assert not classified_ids & omitted_ids
         assert len(omitted) == len(omitted_ids)  # one omission per issue
+
+    @pytest.mark.parametrize("bad_item", [
+        {"body": "tf.function fixing"},
+        {"id": None, "body": "tf.function fixing"},
+        {"id": "301", "body": "tf.function fixing"},
+        {"id": 3.5, "body": "tf.function fixing"},
+        {"id": True, "body": "tf.function fixing"},
+        "tf.function fixing",
+        None,
+    ])
+    def test_malformed_comment_item_degrades_to_fetch_failed(self, bad_item, fake_clock):
+        good = make_issue(10, 1, title="tf.function ok", comments=1)
+        broken = make_issue(30, 3, title="tf.function broken", comments=2)
+        later = make_issue(40, 4, title="tf.function later", comments=1)
+        transport = ScriptedTransport([
+            reply(200, rate_limit_payload()),
+            reply(200, {"total_count": 3, "incomplete_results": False,
+                        "items": [good, broken, later]}),
+            reply(200, [make_comment(100, "tf.function fixing")]),
+            reply(200, [make_comment(300, "tf.function cheers"), bad_item]),
+            reply(200, [make_comment(400, "tf.function blank")]),
+        ])
+        session = open_session("t", mode="live", transport=transport, parallelism=1,
+                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        records, omitted, summary = run(QuerySpec(query="tf.function"), session,
+                                        keyword_model(), PREP)
+        assert [(o.issue.id, o.reason) for o in omitted] == [(30, "fetch_failed")]
+        assert {r.issue.id for r in records} == {10, 40}
+        assert summary.issues_searched == 3
+        assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
+        assert not transport.replies
 
 
 class TestSummaryInvariants:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -228,3 +229,161 @@ class TestProperties:
         for line in preprocess_comment(comment(text), CFG):
             assert line.rendered == " ".join(line.tokens)
             assert line.tokens
+
+
+class TestPrepConfigDerivedFields:
+    def test_construction_order_does_not_affect_equality_or_hash(self):
+        first = PrepConfig(
+            stop_words=frozenset(["the", "a", "is"]),
+            custom_stop_words=frozenset(["foo", "bar"]),
+            mention_token="USER",
+            code_token="SNIPPET",
+        )
+        second = PrepConfig(
+            code_token="SNIPPET",
+            mention_token="USER",
+            custom_stop_words=frozenset(["bar", "foo"]),
+            stop_words=frozenset(["is", "a", "the"]),
+        )
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first.placeholders == second.placeholders == {"USER", "URL", "QUOTE", "SNIPPET"}
+        assert first.all_stop_words == second.all_stop_words == {"the", "a", "is", "foo", "bar"}
+
+    def test_replace_recomputes_derived_fields(self):
+        changed = dataclasses.replace(CFG, url_token="LINK", custom_stop_words=frozenset({"x"}))
+        assert changed.placeholders == {"SCREEN_NAME", "LINK", "QUOTE", "CODE"}
+        assert changed.all_stop_words == {"x"}
+
+
+# --- Reference copy of the original preprocessing --------------------------
+# The module's hot path skips regex stages and edge scans that cannot change
+# the text, and precomputes the config's placeholder and stop sets. These
+# functions are the straightforward versions it must agree with exactly.
+
+_REF_FENCED_CODE_RE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
+_REF_DOUBLE_TICK_RE = re.compile(r"``[^`]*``")
+_REF_INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
+_REF_DANGLING_TICK_RE = re.compile(r"`\S*")
+_REF_URL_RE = re.compile(r"https?://\S*", re.IGNORECASE)
+_REF_MENTION_RE = re.compile(r"(?<!\w)@[A-Za-z0-9-]{1,39}(?![\w-])")
+_REF_DQUOTE_RE = re.compile(r'(?<!\w)"[^"\n]*"')
+_REF_SQUOTE_RE = re.compile(r"(?<!\w)'[^'\n]*'")
+_REF_EDGE_KEEP = frozenset("/#_")
+
+
+def ref_placeholders(config):
+    return frozenset((config.mention_token, config.url_token, config.quote_token, config.code_token))
+
+
+def ref_all_stop_words(config):
+    return config.stop_words | config.custom_stop_words
+
+
+def ref_replace_once(text, config):
+    text = _REF_FENCED_CODE_RE.sub(config.code_token, text)
+    text = _REF_DOUBLE_TICK_RE.sub(config.code_token, text)
+    text = _REF_INLINE_CODE_RE.sub(config.code_token, text)
+    text = _REF_DANGLING_TICK_RE.sub(config.code_token, text)
+    text = _REF_URL_RE.sub(config.url_token, text)
+    text = _REF_MENTION_RE.sub(config.mention_token, text)
+    text = _REF_DQUOTE_RE.sub(config.quote_token, text)
+    text = _REF_SQUOTE_RE.sub(config.quote_token, text)
+    return text
+
+
+def ref_replace_tokens(body, config):
+    text = body
+    for _ in range(4):
+        replaced = ref_replace_once(text, config)
+        if replaced == text:
+            break
+        text = replaced
+    return text
+
+
+def ref_strip_edges(token):
+    start, end = 0, len(token)
+    while start < end and not token[start].isalnum() and token[start] not in _REF_EDGE_KEEP:
+        start += 1
+    while end > start and not token[end - 1].isalnum() and token[end - 1] not in _REF_EDGE_KEEP:
+        end -= 1
+    return token[start:end]
+
+
+def ref_normalize(line, config):
+    placeholders = ref_placeholders(config)
+    out = []
+    for token in line.split():
+        core = ref_strip_edges(token)
+        if not core:
+            continue
+        out.append(core if core in placeholders else core.lower())
+    return out
+
+
+def ref_remove_stop_words(tokens, config):
+    stops = ref_all_stop_words(config)
+    placeholders = ref_placeholders(config)
+    return [t for t in tokens if t in placeholders or t.lower() not in stops]
+
+
+def ref_preprocess_comment(comment, config):
+    lines = []
+    for raw_line in split_lines(ref_replace_tokens(comment.body, config)):
+        tokens = ref_remove_stop_words(ref_normalize(raw_line, config), config)
+        if not tokens:
+            continue
+        lines.append(
+            ProcessedLine(
+                issue_id=comment.issue_id,
+                comment_id=comment.comment_id,
+                line_index=len(lines),
+                tokens=tuple(tokens),
+                raw_line=raw_line,
+            )
+        )
+    return lines
+
+
+_MIXED_FRAGMENTS = list("abcXYZéßÑ日½ @'\"`\n\r\t .,:;/-_#!?()*[]") + [
+    "http://", "https://ex.io/a", "HTTP://x", "://", "```", "``", "@bob", "@@", "a@b.io",
+    "don't", "'tis", "\"q\"", "CODE", "QUOTE", "URL", "SCREEN_NAME", "the", "The", "is",
+    "fix", "İ", "\u00a0", "\u3000",
+]
+MIXED_TEXT = st.lists(st.sampled_from(_MIXED_FRAGMENTS), max_size=40).map("".join)
+# Configs include placeholders that carry another stage's trigger character,
+# so a skipped stage must notice text that an earlier stage inserted.
+CONFIGS = st.sampled_from([
+    CFG,
+    PrepConfig.default(),
+    PrepConfig(stop_words=frozenset({"fix", "the"}), custom_stop_words=frozenset({"is", "don't"})),
+    PrepConfig(stop_words=frozenset(), code_token="@CODE", url_token="'URL'",
+               mention_token='"AT"', quote_token="`Q`"),
+    PrepConfig(stop_words=frozenset(), code_token="HTTP://C", quote_token="@Q"),
+])
+
+
+class TestMatchesReference:
+    @given(MIXED_TEXT, CONFIGS)
+    @settings(max_examples=500, deadline=None)
+    def test_replace_tokens(self, text, config):
+        assert replace_tokens(text, config) == ref_replace_tokens(text, config)
+
+    @given(MIXED_TEXT, CONFIGS)
+    @settings(max_examples=500, deadline=None)
+    def test_normalize(self, text, config):
+        for line in text.split("\n"):
+            assert normalize(line, config) == ref_normalize(line, config)
+
+    @given(st.lists(st.sampled_from(_MIXED_FRAGMENTS + ["FIX", "Is", "the"]), max_size=12),
+           CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    def test_remove_stop_words(self, tokens, config):
+        assert remove_stop_words(tokens, config) == ref_remove_stop_words(tokens, config)
+
+    @given(MIXED_TEXT, CONFIGS)
+    @settings(max_examples=500, deadline=None)
+    def test_preprocess_comment(self, text, config):
+        raw = comment(text)
+        assert preprocess_comment(raw, config) == ref_preprocess_comment(raw, config)
