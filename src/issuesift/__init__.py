@@ -20,14 +20,13 @@ from .classifier import (
     save_model,
     train_baseline,
 )
-from .github_client import IssueRef, RateStatus, RawComment, Session, open_session
+from .github_client import IssueRef, RawComment, Session, open_session
 from .pipeline import (
     ClassifiedRecord,
     OmittedIssue,
     QuerySpec,
     RunSummary,
     apply_category_filters,
-    has_discussion,
     run,
     strict_match,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "PrepConfig",
     "ProcessedLine",
     "QuerySpec",
-    "RateStatus",
     "RawComment",
     "RunSummary",
     "Session",
@@ -62,7 +60,6 @@ __all__ = [
     "apply_category_filters",
     "classify_lines",
     "default_taxonomy",
-    "has_discussion",
     "load_corpus",
     "load_default_model",
     "load_model",

@@ -3,8 +3,9 @@
 Batch mode takes everything from flags and never prompts, so it is safe in
 scripts and CI. Interactive mode builds the query through a prompt loop.
 Diagnostics go to stderr; only progress lines and the run summary go to
-stdout. Exit codes: 0 success (omissions included), 1 usage or abort,
-2 authentication/query/API failure, 3 local I/O failure.
+stdout. Exit codes: 0 success (omissions included), 1 usage (an unknown
+category included) or abort, 2 authentication/query/API failure (a malformed
+payload included), 3 local I/O failure (a malformed fixture included).
 """
 
 from __future__ import annotations
@@ -30,13 +31,22 @@ from .errors import (
     UnknownCategory,
     UsageError,
 )
-from .github_client import open_session
-from .pipeline import SORT_KEYS, QuerySpec
+from .github_client import SEARCH_LIMIT_CAP, SORT_KEYS, SORT_ORDERS, check_search, open_session
+from .pipeline import QuerySpec
 from .text_prep import PrepConfig
 
 DEFAULT_LIMIT = 100
 DEFAULT_OUTPUT = "results.csv"
 DEFAULT_OMITTED = "omitted.csv"
+
+# QuerySpec field -> the flag that sets it, so a rejected spec names the flag.
+_FIELD_FLAGS = {
+    "query": "--query",
+    "limit": "--limit",
+    "min_comments": "--min-comments",
+    "require_categories": "--require-category",
+    "forbid_categories": "--forbid-category",
+}
 
 
 @dataclass
@@ -66,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--query", help="search string, punctuation preserved")
     parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                        help=f"max issues to retrieve, 1-1000 (default {DEFAULT_LIMIT})")
+                        help=f"max issues to retrieve, 1-{SEARCH_LIMIT_CAP} (default {DEFAULT_LIMIT})")
     parser.add_argument("--sort", default="best-match", choices=SORT_KEYS,
                         help="search sort criterion (default best-match)")
-    parser.add_argument("--order", default="desc", choices=("asc", "desc"),
+    parser.add_argument("--order", default="desc", choices=SORT_ORDERS,
                         help="sort order (default desc)")
     parser.add_argument("--model", help="path to a model file (default: bundled baseline)")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
@@ -105,18 +115,8 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         raise UsageError("--interactive and --query are mutually exclusive")
     if not args.interactive and args.query is None:
         raise UsageError("either --query or --interactive is required")
-    if not 1 <= args.limit <= 1000:
-        raise UsageError(f"--limit must be in 1..1000, got {args.limit}")
-    if args.min_comments < 0:
-        raise UsageError(f"--min-comments must be >= 0, got {args.min_comments}")
     if Path(args.output) == Path(args.omitted_output):
         raise UsageError("--output and --omitted-output must differ")
-    require = frozenset(args.require_category)
-    forbid = frozenset(args.forbid_category)
-    if require & forbid:
-        raise UsageError(
-            f"--require-category and --forbid-category overlap: {sorted(require & forbid)}"
-        )
     if args.token is not None:
         token, token_source = args.token, "flag"
     elif environment.get("GITHUB_TOKEN"):
@@ -125,20 +125,23 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         token, token_source = None, "none"
     spec = None
     if not args.interactive:
-        if not args.query.strip():
-            raise UsageError("--query must be non-empty")
-        spec = QuerySpec(
-            query=args.query,
-            limit=args.limit,
-            sort=args.sort,
-            order=args.order,
-            strict_match=not args.no_strict_match,
-            strict_scope=args.strict_scope,
-            omit_categories=frozenset(args.omit_category),
-            require_categories=require,
-            forbid_categories=forbid,
-            min_comments=args.min_comments,
-        )
+        try:
+            spec = QuerySpec(
+                query=args.query,
+                limit=args.limit,
+                sort=args.sort,
+                order=args.order,
+                strict_match=not args.no_strict_match,
+                strict_scope=args.strict_scope,
+                omit_categories=frozenset(args.omit_category),
+                require_categories=frozenset(args.require_category),
+                forbid_categories=frozenset(args.forbid_category),
+                min_comments=args.min_comments,
+            )
+        except ValueError as exc:
+            fields, colon, detail = str(exc).partition(":")
+            fields = " ".join(_FIELD_FLAGS.get(word, word) for word in fields.split(" "))
+            raise UsageError(fields + colon + detail) from None
     return CliConfig(
         spec=spec,
         token=token,
@@ -196,13 +199,13 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy) -> QuerySpec:
 
     limit = None
     while limit is None:
-        answer = _ask(stdin, stdout, f"Issue limit (1-1000) [{DEFAULT_LIMIT}]: ")
-        if not answer:
-            limit = DEFAULT_LIMIT
-        elif answer.isdigit() and 1 <= int(answer) <= 1000:
-            limit = int(answer)
-        else:
-            stdout.write("The limit must be a number between 1 and 1000.\n")
+        answer = _ask(stdin, stdout, f"Issue limit (1-{SEARCH_LIMIT_CAP}) [{DEFAULT_LIMIT}]: ")
+        try:
+            limit = int(answer) if answer else DEFAULT_LIMIT
+            check_search(query, limit, "best-match", "desc")
+        except ValueError:
+            limit = None
+            stdout.write(f"The limit must be a number between 1 and {SEARCH_LIMIT_CAP}.\n")
 
     stdout.write("Sort criterion:\n")
     for i, key in enumerate(SORT_KEYS, start=1):
@@ -224,7 +227,7 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy) -> QuerySpec:
         answer = _ask(stdin, stdout, "Order (asc/desc) [desc]: ")
         if not answer:
             order = "desc"
-        elif answer in ("asc", "desc"):
+        elif answer in SORT_ORDERS:
             order = answer
         else:
             stdout.write("Order must be 'asc' or 'desc'.\n")
@@ -274,10 +277,6 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
         spec = config.spec
         if config.interactive:
             spec = interactive_session(stdin, stdout, model.taxonomy)
-        for name in sorted(spec.category_names()):
-            if name not in model.taxonomy:
-                raise UsageError(f"unknown category {name!r}; the model knows: "
-                                 f"{', '.join(model.taxonomy)}")
         if config.fixtures_dir:
             session = open_session(config.token, mode="replay", fixture_dir=config.fixtures_dir)
         else:
@@ -290,13 +289,13 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
                      f"{len(omitted)} omissions to {config.omitted_path}\n\n")
         stdout.write(report.render_summary(summary) + "\n")
         return 0
-    except UsageError as exc:
+    except (UsageError, UnknownCategory) as exc:
         stderr.write(f"usage error: {exc}\n")
         return 1
     except Aborted as exc:
         stderr.write(f"aborted: {exc}\n")
         return 1
-    except (InvalidToken, QueryRejected, RateLimited, NetworkFailure, UnknownCategory) as exc:
+    except (InvalidToken, QueryRejected, RateLimited, NetworkFailure) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
     except (IoFailure, FixtureNotFound, ModelError) as exc:

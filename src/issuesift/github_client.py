@@ -49,9 +49,24 @@ MAX_RETRIES = 4
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.2
-REPLAY_UNLIMITED = 10**9
 
 SORT_KEYS = ("best-match", "comments", "created", "updated", "reactions")
+SORT_ORDERS = ("asc", "desc")
+
+
+def check_search(query: str, limit: int, sort: str, order: str) -> None:
+    """Raise ValueError unless the search endpoint can serve this request.
+
+    Each message starts with the name of the offending parameter.
+    """
+    if not query.strip():
+        raise ValueError("query must be non-empty")
+    if not 1 <= limit <= SEARCH_LIMIT_CAP:
+        raise ValueError(f"limit must be in 1..{SEARCH_LIMIT_CAP}, got {limit}")
+    if sort not in SORT_KEYS:
+        raise ValueError(f"sort must be one of {SORT_KEYS}, got {sort!r}")
+    if order not in SORT_ORDERS:
+        raise ValueError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 
 
 @dataclass(frozen=True)
@@ -88,20 +103,6 @@ class RawComment:
     author_login: str
     body: str
     created_at: str
-
-
-@dataclass(frozen=True)
-class RateStatus:
-    """Remaining budgets for the search and core windows."""
-
-    search_remaining: int
-    search_reset_at: float
-    core_remaining: int
-    core_reset_at: float
-
-    def __post_init__(self):
-        if self.search_remaining < 0 or self.core_remaining < 0:
-            raise ValueError("remaining counts must be >= 0")
 
 
 @dataclass
@@ -177,9 +178,12 @@ class ReplayTransport:
             raise FixtureNotFound(f"unreadable fixture manifest {manifest_path}: {exc}") from exc
         self._lock = threading.Lock()
         self._entries: dict[str, deque] = {}
-        for entry in manifest.get("entries", []):
-            key = f"{entry['method'].upper()} {canonical_url(entry['url'])}"
-            self._entries.setdefault(key, deque()).append((entry["meta"], entry["body"]))
+        try:
+            for entry in manifest.get("entries", []):
+                key = f"{entry['method'].upper()} {canonical_url(entry['url'])}"
+                self._entries.setdefault(key, deque()).append((entry["meta"], entry["body"]))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise FixtureNotFound(f"malformed fixture manifest {manifest_path}: {exc!r}") from exc
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
         key = f"{method.upper()} {canonical_url(url, params)}"
@@ -193,10 +197,13 @@ class ReplayTransport:
         try:
             meta = json.loads((self._dir / meta_name).read_text(encoding="utf-8"))
             body = (self._dir / body_name).read_bytes()
-        except (OSError, ValueError) as exc:
+            status = meta["status"]
+            headers = {str(k).lower(): str(v) for k, v in meta.get("headers", {}).items()}
+        except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
             raise FixtureNotFound(f"unreadable fixture file for {key}: {exc}") from exc
-        headers = {str(k).lower(): str(v) for k, v in meta.get("headers", {}).items()}
-        return TransportReply(status=int(meta["status"]), headers=headers, body=body)
+        if not isinstance(status, int) or isinstance(status, bool):
+            raise FixtureNotFound(f"fixture meta for {key} has a non-integer status {status!r}")
+        return TransportReply(status=status, headers=headers, body=body)
 
 
 class RateGate:
@@ -246,34 +253,56 @@ class RateGate:
                 self._blocked_until[kind] = max(self._blocked_until[kind], when)
 
 
-def parse_rate_payload(doc: dict, fallback_now: float = 0.0) -> RateStatus:
-    """RateStatus from a /rate_limit response body."""
-    resources_field = doc.get("resources", {})
-    search = resources_field.get("search", {})
-    core = resources_field.get("core", {})
-    return RateStatus(
-        search_remaining=int(search.get("remaining", 0)),
-        search_reset_at=float(search.get("reset", fallback_now)),
-        core_remaining=int(core.get("remaining", 0)),
-        core_reset_at=float(core.get("reset", fallback_now)),
-    )
+def _fields(item, what: str):
+    """Typed reader over one wire item, which must be a JSON object.
+
+    ``field(key, kind)`` is ``item[key]`` if that is a ``kind`` (never a bool),
+    ``kind()`` if it is null or missing and not ``required``; anything else
+    raises NetworkFailure.
+    """
+    if not isinstance(item, dict):
+        raise NetworkFailure(f"{what} is not an object")
+
+    def field(key: str, kind: type = str, required: bool = False):
+        value = item.get(key)
+        if value is None and not required:
+            return kind()
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise NetworkFailure(f"{what} has a missing or non-{kind.__name__} {key!r}")
+        return value
+
+    return field
 
 
-def _issue_from_item(item: dict) -> IssueRef:
-    repository_url = item.get("repository_url") or ""
-    repo_full_name = repository_url.split("/repos/", 1)[1] if "/repos/" in repository_url else ""
-    return IssueRef(
-        id=int(item["id"]),
-        number=int(item["number"]),
-        repo_full_name=repo_full_name,
-        title=item.get("title") or "",
-        body=item.get("body") or "",
-        html_url=item.get("html_url") or "",
-        api_url=item.get("url") or "",
-        comments_url=item.get("comments_url") or "",
-        comment_count=int(item.get("comments") or 0),
-        created_at=item.get("created_at") or "",
-        updated_at=item.get("updated_at") or "",
+def _issue_from_item(item) -> IssueRef:
+    field = _fields(item, "search item")
+    try:
+        return IssueRef(
+            id=field("id", int, required=True),
+            number=field("number", int, required=True),
+            repo_full_name=field("repository_url").partition("/repos/")[2],
+            title=field("title"),
+            body=field("body"),
+            html_url=field("html_url"),
+            api_url=field("url"),
+            comments_url=field("comments_url"),
+            comment_count=field("comments", int),
+            created_at=field("created_at"),
+            updated_at=field("updated_at"),
+        )
+    except ValueError as exc:  # IssueRef's own invariants
+        raise NetworkFailure(f"search item: {exc}") from exc
+
+
+def _comment_from_item(item, issue_id: int) -> RawComment:
+    what = f"comment item of issue {issue_id}"
+    field = _fields(item, what)
+    return RawComment(
+        issue_id=issue_id,
+        comment_id=field("id", int, required=True),
+        author_login=_fields(field("user", dict), f"{what}: user")("login"),
+        body=field("body"),
+        created_at=field("created_at"),
     )
 
 
@@ -311,20 +340,8 @@ class Session:
         self._rng = rng or random.Random()
         self._log_lock = threading.Lock()
         self.request_log: list[RequestRecord] = []
-        self.rate_status: RateStatus | None = None
 
     # -- public operations -------------------------------------------------
-
-    def check_rate_limit(self) -> RateStatus:
-        """Current budgets; replay sessions report an unlimited sentinel."""
-        now = self._clock()
-        if self.mode == "replay":
-            status = RateStatus(REPLAY_UNLIMITED, now, REPLAY_UNLIMITED, now)
-        else:
-            doc = self._request_json("meta", f"{self.base_url}/rate_limit")
-            status = parse_rate_payload(doc, fallback_now=now)
-        self.rate_status = status
-        return status
 
     def search_issues(
         self,
@@ -338,14 +355,7 @@ class Session:
         Duplicate ids are dropped keeping the first occurrence; the endpoint's
         ordering under the requested sort is otherwise preserved.
         """
-        if not 1 <= limit <= SEARCH_LIMIT_CAP:
-            raise ValueError(f"limit must be in 1..{SEARCH_LIMIT_CAP}, got {limit}")
-        if not query.strip():
-            raise ValueError("query must be non-empty")
-        if sort not in SORT_KEYS:
-            raise ValueError(f"sort must be one of {SORT_KEYS}, got {sort!r}")
-        if order not in ("asc", "desc"):
-            raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
+        check_search(query, limit, sort, order)
         url = f"{self.base_url}/search/issues"
         results: list[IssueRef] = []
         seen_ids: set[int] = set()
@@ -357,6 +367,8 @@ class Session:
                 params["order"] = order
             doc = self._request_json("search", url, params)
             items = doc.get("items", []) if isinstance(doc, dict) else []
+            if not isinstance(items, list):
+                raise NetworkFailure(f"search endpoint returned a non-list 'items' for {query!r}")
             for item in items:
                 issue = _issue_from_item(item)
                 if issue.id in seen_ids:
@@ -384,22 +396,7 @@ class Session:
             )
             if not isinstance(items, list):
                 raise NetworkFailure(f"comments endpoint returned a non-list for issue {issue.id}")
-            for item in items:
-                comment_id = item.get("id") if isinstance(item, dict) else None
-                if not isinstance(comment_id, int) or isinstance(comment_id, bool):
-                    raise NetworkFailure(
-                        f"comments endpoint returned an item without an integer id "
-                        f"for issue {issue.id}"
-                    )
-                comments.append(
-                    RawComment(
-                        issue_id=issue.id,
-                        comment_id=comment_id,
-                        author_login=(item.get("user") or {}).get("login") or "",
-                        body=item.get("body") or "",
-                        created_at=item.get("created_at") or "",
-                    )
-                )
+            comments.extend(_comment_from_item(item, issue.id) for item in items)
             if len(items) < PAGE_SIZE:
                 break
             page += 1
@@ -553,5 +550,6 @@ def open_session(
         parallelism=parallelism,
     )
     if mode == "live":
-        session.check_rate_limit()  # probe: raises InvalidToken on a bad credential
+        # probe: raises InvalidToken on a bad credential
+        session._request_json("meta", f"{session.base_url}/rate_limit")
     return session

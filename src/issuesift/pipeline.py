@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .classifier import ModelFile, Prediction, classify_lines
 from .errors import GitHubError, UnknownCategory
-from .github_client import SORT_KEYS, IssueRef, RawComment, Session
+from .github_client import IssueRef, RawComment, Session, check_search
 from .text_prep import PrepConfig, ProcessedLine, preprocess_comment
 
 OMISSION_REASONS = ("no_strict_match", "no_discussion", "fetch_failed", "category_filtered")
@@ -37,21 +37,15 @@ class QuerySpec:
     min_comments: int = 1
 
     def __post_init__(self):
-        if not self.query.strip():
-            raise ValueError("query must be non-empty")
-        if not 1 <= self.limit <= 1000:
-            raise ValueError(f"limit must be in 1..1000, got {self.limit}")
-        if self.sort not in SORT_KEYS:
-            raise ValueError(f"sort must be one of {SORT_KEYS}, got {self.sort!r}")
-        if self.order not in ("asc", "desc"):
-            raise ValueError(f"order must be 'asc' or 'desc', got {self.order!r}")
+        # Each message starts with the name of the offending field.
+        check_search(self.query, self.limit, self.sort, self.order)
         if self.strict_scope not in STRICT_SCOPES:
             raise ValueError(f"strict_scope must be 'issue' or 'comment', got {self.strict_scope!r}")
         if self.min_comments < 0:
             raise ValueError(f"min_comments must be >= 0, got {self.min_comments}")
         if self.require_categories & self.forbid_categories:
             overlap = sorted(self.require_categories & self.forbid_categories)
-            raise ValueError(f"categories both required and forbidden: {overlap}")
+            raise ValueError(f"require_categories and forbid_categories overlap: {overlap}")
 
     def category_names(self) -> frozenset[str]:
         return self.omit_categories | self.require_categories | self.forbid_categories
@@ -122,11 +116,6 @@ def strict_match(
     raise ValueError(f"scope must be 'issue' or 'comment', got {scope!r}")
 
 
-def has_discussion(issue: IssueRef, comments: list[RawComment], min_comments: int = 1) -> bool:
-    """True iff the issue carries at least min_comments comments."""
-    return len(comments) >= min_comments
-
-
 def apply_category_filters(
     grouped: list[tuple[IssueRef, list[ClassifiedRecord]]],
     spec: QuerySpec,
@@ -164,7 +153,9 @@ def run(
     """
     for name in sorted(spec.category_names()):
         if name not in model.taxonomy:
-            raise UnknownCategory(f"filter category {name!r} is not in the model taxonomy")
+            raise UnknownCategory(
+                f"unknown category {name!r}; the model knows: {', '.join(model.taxonomy)}"
+            )
 
     issues = session.search_issues(spec.query, spec.limit, spec.sort, spec.order)
 
@@ -183,7 +174,7 @@ def run(
         if error is not None:
             omitted.append(OmittedIssue(issue=issue, reason="fetch_failed"))
             continue
-        if not has_discussion(issue, comments, spec.min_comments):
+        if len(comments) < spec.min_comments:
             omitted.append(OmittedIssue(issue=issue, reason="no_discussion"))
             continue
         if spec.strict_match:

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_SMALL
@@ -74,6 +74,17 @@ def oracle_argmax(scores):
         if scores[i] > scores[best]:
             best = i
     return best
+
+
+def assert_oracle_choice(category, taxonomy, scores, tolerance=1e-9):
+    """category is one within the tolerance of the oracle's best score.
+
+    Where the best leads by more than the tolerance that is the exact argmax.
+    Scores that tie in real arithmetic can differ by an ulp in floats, so a
+    near-tie accepts any of the tied categories.
+    """
+    peak = max(scores)
+    assert category in [name for name, s in zip(taxonomy, scores) if peak - s <= tolerance]
 
 
 class TestTrainBaseline:
@@ -335,19 +346,35 @@ def small_corpora(draw):
     return taxonomy, tuple(examples), query
 
 
+# Scores that tie in real arithmetic but differ by one ulp in floats.
+ULP_TIE_SHIFTED = (
+    Taxonomy(CATEGORY_NAMES),
+    ((("red",), "Alpha"), (("red",), "Beta"), (("blue",), "Gamma")),
+    ["blue", "red"],
+)
+ULP_TIE = (
+    Taxonomy(CATEGORY_NAMES[:2]),
+    ((("blue", "blue", "green", "gold"), "Alpha"), (("red", "blue", "blue", "blue"), "Beta")),
+    ["red", "red", "green", "green"],
+)
+
+
 class TestOracleEquivalence:
     @given(small_corpora())
+    @example(ULP_TIE)
+    @example(ULP_TIE_SHIFTED)
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_posterior(self, case):
         taxonomy, examples, query = case
         model = train_baseline(LabeledCorpus(examples), taxonomy, alpha=1.0)
         prediction = predict_line(model, query)
         expected = oracle_log_posteriors(examples, taxonomy, query, alpha=1.0)
-        assert prediction.category == taxonomy.categories[oracle_argmax(expected)]
+        assert_oracle_choice(prediction.category, taxonomy, expected)
         for got, want in zip(prediction.scores, expected):
             assert abs(got - want) <= 1e-9
 
     @given(small_corpora(), st.floats(min_value=-50, max_value=50))
+    @example(ULP_TIE_SHIFTED, 1.0)
     @settings(max_examples=150, deadline=None)
     def test_argmax_shift_invariant(self, case, shift):
         taxonomy, examples, query = case
@@ -358,7 +385,9 @@ class TestOracleEquivalence:
         )
         original = predict_line(model, query)
         moved = predict_line(shifted, query)
-        assert moved.category == original.category
+        expected = oracle_log_posteriors(examples, taxonomy, query, alpha=1.0)
+        assert_oracle_choice(original.category, taxonomy, expected)
+        assert_oracle_choice(moved.category, taxonomy, expected)
         assert abs(moved.confidence - original.confidence) <= 1e-12
 
     def test_monotonicity_of_dominant_token(self):

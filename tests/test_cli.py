@@ -187,6 +187,30 @@ class TestMain:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("bad_item", [{"number": 1, "title": "x"}, "x"],
+                             ids=["no-id", "string"])
+    def test_malformed_search_item_exit_2(self, tmp_path, bad_item):
+        writer = FixtureWriter(tmp_path / "fx")
+        writer.add(f"{GITHUB_API}/search/issues?q=x&per_page=100&page=1",
+                   {"total_count": 1, "incomplete_results": False, "items": [bad_item]})
+        writer.write_manifest()
+        code, _, err = self.run_main([
+            "--query", "x", "--fixtures", str(tmp_path / "fx"),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert "search item" in err
+
+    def test_malformed_manifest_exit_3(self, tmp_path):
+        fixture = write_fixture(tmp_path / "fx", query="x", issues=[])
+        (fixture / "manifest.json").write_text('{"entries": [{"url": "x"}]}', encoding="utf-8")
+        code, _, err = self.run_main([
+            "--query", "x", "--fixtures", str(fixture),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 3
+        assert "manifest" in err
+
     def test_missing_fixture_dir_exit_3(self, tmp_path):
         code, _, err = self.run_main(
             ["--query", "x", "--fixtures", str(tmp_path / "missing")])

@@ -20,7 +20,6 @@ from issuesift.github_client import (
     RateGate,
     canonical_url,
     open_session,
-    parse_rate_payload,
 )
 
 
@@ -58,18 +57,44 @@ class TestOpenSession:
         with pytest.raises(InvalidToken):
             open_session("garbage", mode="live", transport=transport)
 
-    def test_live_probe_populates_rate_status(self):
-        # recorded probe: a fresh authenticated session sees the documented
-        # 30-per-minute search window
-        transport = ScriptedTransport([reply(200, rate_limit_payload(search_remaining=30))])
-        session = open_session("token", mode="live", transport=transport)
-        assert session.rate_status is not None
-        assert 0 < session.rate_status.search_remaining <= 30
-        assert transport.requests[0][1].endswith("/rate_limit")
+    def test_live_probe_is_one_rate_limit_request(self):
+        transport = ScriptedTransport([reply(200, rate_limit_payload())])
+        open_session("token", mode="live", transport=transport)
+        assert [url for _, url, _ in transport.requests] == [f"{GITHUB_API}/rate_limit"]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             open_session(None, mode="cached")
+
+
+class TestReplayManifest:
+    @staticmethod
+    def fixture(tmp_path):
+        return write_fixture(tmp_path / "fx", query="q", issues=[make_issue(10, 1)])
+
+    def test_manifest_not_an_object(self, tmp_path):
+        fixture = self.fixture(tmp_path)
+        (fixture / "manifest.json").write_text("[]", encoding="utf-8")
+        with pytest.raises(FixtureNotFound):
+            replay_session(fixture)
+
+    @pytest.mark.parametrize("key", ["method", "url", "meta", "body"])
+    def test_entry_missing_key(self, tmp_path, key):
+        fixture = self.fixture(tmp_path)
+        manifest = json.loads((fixture / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["entries"][0][key]
+        (fixture / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FixtureNotFound):
+            replay_session(fixture)
+
+    @pytest.mark.parametrize("meta", [{"headers": {}}, {"status": "200"}, {"status": True}, []],
+                             ids=["missing", "string", "bool", "not-an-object"])
+    def test_meta_without_integer_status(self, tmp_path, meta):
+        fixture = self.fixture(tmp_path)
+        (fixture / "0000.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        session = replay_session(fixture)
+        with pytest.raises(FixtureNotFound):
+            session.search_issues("q", limit=1)
 
 
 class TestSearchIssues:
@@ -212,32 +237,6 @@ class TestReplayDeterminism:
         hits = session.search_issues("tf.function", limit=1000)
         for hit in hits:
             session.fetch_comments(hit)
-        session.check_rate_limit()
-
-
-class TestCheckRateLimit:
-    def test_replay_sentinel(self, small_fixture_dir):
-        status = replay_session(small_fixture_dir).check_rate_limit()
-        assert status.search_remaining >= 10**9
-        assert status.core_remaining >= 10**9
-
-    def test_parse_recorded_probe(self):
-        status = parse_rate_payload(rate_limit_payload(search_remaining=29, reset=1234.0))
-        assert status.search_remaining == 29
-        assert status.search_reset_at == 1234.0
-        assert status.core_remaining == 5000
-
-    def test_exhausted_budget_reports_zero_with_future_reset(self, fake_clock):
-        reset = fake_clock.time() + 42
-        transport = ScriptedTransport([
-            reply(200, rate_limit_payload()),  # probe at open
-            reply(200, rate_limit_payload(search_remaining=0, reset=int(reset))),
-        ])
-        session = open_session("t", mode="live", transport=transport,
-                               clock=fake_clock.time, sleep=fake_clock.sleep)
-        status = session.check_rate_limit()
-        assert status.search_remaining == 0
-        assert status.search_reset_at > fake_clock.time()
 
 
 class TestRetryPolicy:
@@ -302,6 +301,12 @@ class TestRetryPolicy:
         replies = [_TransientFailure("timed out"), reply(200, {"total_count": 0, "items": []})]
         session, _ = self._session(replies, fake_clock)
         assert session.search_issues("q", limit=5) == []
+
+    @pytest.mark.parametrize("items", [None, {"id": 1}, "items"])
+    def test_non_list_search_items_rejected(self, fake_clock, items):
+        session, _ = self._session([reply(200, {"total_count": 1, "items": items})], fake_clock)
+        with pytest.raises(NetworkFailure):
+            session.search_issues("q", limit=5)
 
     def test_non_list_comments_payload_rejected(self, fake_clock):
         replies = [reply(200, {"unexpected": "shape"})]

@@ -4,7 +4,7 @@ from conftest import ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift.classifier import LabeledCorpus, Taxonomy, train_baseline
-from issuesift.errors import UnknownCategory
+from issuesift.errors import NetworkFailure, UnknownCategory
 from issuesift.github_client import GITHUB_API, IssueRef, RawComment, open_session
 from issuesift.pipeline import (
     ClassifiedRecord,
@@ -12,7 +12,6 @@ from issuesift.pipeline import (
     QuerySpec,
     RunSummary,
     apply_category_filters,
-    has_discussion,
     run,
     strict_match,
 )
@@ -91,16 +90,29 @@ class TestStrictMatch:
 
 
 class TestHasDiscussion:
-    def test_zero_comments(self):
-        assert has_discussion(issue_ref(), [], 1) is False
+    """run() omits an issue as no_discussion iff it has fewer than min_comments."""
 
-    def test_one_comment(self):
-        assert has_discussion(issue_ref(), [raw_comment("x")], 1) is True
+    @staticmethod
+    def omissions(tmp_path, comment_count, min_comments):
+        issue = make_issue(10, 1, title="tf.function", comments=comment_count)
+        comments = [make_comment(100 + i, "fixing") for i in range(comment_count)]
+        fixture = write_fixture(tmp_path / f"fx{comment_count}", query="tf.function",
+                                issues=[issue], comments_by_id={10: comments})
+        session = open_session(None, mode="replay", fixture_dir=fixture)
+        spec = QuerySpec(query="tf.function", min_comments=min_comments)
+        _, omitted, summary = run(spec, session, keyword_model(), PREP)
+        assert summary.issues_classified + summary.issues_omitted == 1
+        return [o.reason for o in omitted]
 
-    def test_higher_threshold(self):
-        comments = [raw_comment("x", comment_id=i) for i in range(5)]
-        assert has_discussion(issue_ref(), comments, 3) is True
-        assert has_discussion(issue_ref(), comments[:2], 3) is False
+    def test_zero_comments(self, tmp_path):
+        assert self.omissions(tmp_path, 0, 1) == ["no_discussion"]
+
+    def test_one_comment(self, tmp_path):
+        assert self.omissions(tmp_path, 1, 1) == []
+
+    def test_higher_threshold(self, tmp_path):
+        assert self.omissions(tmp_path, 5, 3) == []
+        assert self.omissions(tmp_path, 2, 3) == ["no_discussion"]
 
 
 def classified(issue, category, comment_id=100, line_index=0):
@@ -327,6 +339,10 @@ class TestRun:
         {"id": True, "body": "tf.function fixing"},
         "tf.function fixing",
         None,
+        {"id": 1, "body": 5},
+        {"id": 1, "user": "bob"},
+        {"id": 1, "body": "tf.function", "created_at": 7},
+        {"id": 1, "body": "tf.function", "user": {"login": ["bob"]}},
     ])
     def test_malformed_comment_item_degrades_to_fetch_failed(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=1)
@@ -348,6 +364,27 @@ class TestRun:
         assert {r.issue.id for r in records} == {10, 40}
         assert summary.issues_searched == 3
         assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
+        assert not transport.replies
+
+    @pytest.mark.parametrize("bad_item", [
+        {k: v for k, v in make_issue(20, 2, title="tf.function").items() if k != "id"},
+        "tf.function",
+        {**make_issue(20, 2, title="tf.function"), "id": True},
+        {**make_issue(20, 2, title="tf.function"), "number": "2"},
+        {**make_issue(20, 2), "title": 5},
+        {**make_issue(20, 2, title="tf.function"), "comments": -1},
+    ], ids=["no-id", "string", "bool-id", "string-number", "int-title", "negative-comments"])
+    def test_malformed_search_item_raises_network_failure(self, bad_item, fake_clock):
+        good = make_issue(10, 1, title="tf.function ok", comments=0)
+        transport = ScriptedTransport([
+            reply(200, rate_limit_payload()),
+            reply(200, {"total_count": 2, "incomplete_results": False,
+                        "items": [good, bad_item]}),
+        ])
+        session = open_session("t", mode="live", transport=transport,
+                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        with pytest.raises(NetworkFailure):
+            run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
         assert not transport.replies
 
 
