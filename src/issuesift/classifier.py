@@ -73,15 +73,26 @@ class Taxonomy:
     def __contains__(self, name: str) -> bool:
         return name in self.categories
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.categories.index(name)
-        except ValueError:
-            raise UnknownCategory(f"category {name!r} is not in the taxonomy") from None
-
 
 def default_taxonomy() -> Taxonomy:
     return Taxonomy(DEFAULT_CATEGORIES)
+
+
+def _check_version(version) -> None:
+    if type(version) is not int:
+        raise SchemaViolation("format_version", f"must be an integer, got {version!r}")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersion(
+            f"format_version {version!r} not supported (expected {FORMAT_VERSION})"
+        )
+
+
+def _finite_numbers(values) -> bool:
+    """True if every value is an int or a float (never a bool) with a finite float value."""
+    try:
+        return {type(value) for value in values} <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass
@@ -100,13 +111,15 @@ class ModelFile:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check every structural invariant; raises SchemaViolation."""
-        if self.format_version != FORMAT_VERSION:
-            raise UnsupportedVersion(
-                f"format_version {self.format_version!r} not supported (expected {FORMAT_VERSION})"
-            )
+        """Check every structural invariant; raises SchemaViolation.
+
+        Numbers are checked as they were read, before any float() conversion.
+        """
+        _check_version(self.format_version)
         c = len(self.taxonomy)
         v = len(self.vocabulary)
+        if not {type(index) for index in self.vocabulary.values()} <= {int}:
+            raise SchemaViolation("vocabulary", "must map tokens to integer indexes")
         indexes = sorted(self.vocabulary.values())
         if indexes != list(range(v)):
             raise SchemaViolation("vocabulary", "indexes must cover 0..V-1 exactly once")
@@ -120,14 +133,12 @@ class ModelFile:
                 raise SchemaViolation(
                     "weights", f"row {row_index} has {len(row)} columns, expected {v}"
                 )
-            for value in row:
-                if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise SchemaViolation("weights", f"non-finite value in row {row_index}")
+            if not _finite_numbers(row):
+                raise SchemaViolation("weights", f"row {row_index}: a value is not a finite number")
         if len(self.bias) != c:
             raise SchemaViolation("bias", f"expected length {c}, found {len(self.bias)}")
-        for value in self.bias:
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise SchemaViolation("bias", "non-finite value")
+        if not _finite_numbers(self.bias):
+            raise SchemaViolation("bias", "a value is not a finite number")
         for key, value in self.metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise SchemaViolation("metadata", f"entries must be string/string, got {key!r}")
@@ -175,9 +186,7 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
     extra = doc.keys() - _TOP_LEVEL_FIELDS
     if extra:
         raise SchemaViolation(sorted(extra)[0], "unexpected top-level field")
-    version = doc["format_version"]
-    if not isinstance(version, int) or version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"format_version {version!r} not supported")
+    _check_version(doc["format_version"])  # first: another version may have another layout
     taxonomy_field = doc["taxonomy"]
     if not isinstance(taxonomy_field, list) or not all(isinstance(n, str) for n in taxonomy_field):
         raise SchemaViolation("taxonomy", "must be a list of strings")
@@ -186,23 +195,19 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
     except ValueError as exc:
         raise SchemaViolation("taxonomy", str(exc)) from None
     vocabulary = doc["vocabulary"]
-    if not isinstance(vocabulary, dict) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in vocabulary.values()
-    ):
+    if not isinstance(vocabulary, dict):
         raise SchemaViolation("vocabulary", "must map tokens to integer indexes")
-    weights_field = doc["weights"]
-    if not isinstance(weights_field, list) or not all(isinstance(r, list) for r in weights_field):
+    weights = doc["weights"]
+    if not isinstance(weights, list) or not all(isinstance(r, list) for r in weights):
         raise SchemaViolation("weights", "must be a list of rows")
-    weights = [[float(x) for x in row] for row in weights_field]
-    bias_field = doc["bias"]
-    if not isinstance(bias_field, list):
+    bias = doc["bias"]
+    if not isinstance(bias, list):
         raise SchemaViolation("bias", "must be a list")
-    bias = [float(x) for x in bias_field]
     metadata = doc["metadata"]
     if not isinstance(metadata, dict):
         raise SchemaViolation("metadata", "must be an object")
     model = ModelFile(
-        format_version=version,
+        format_version=doc["format_version"],
         taxonomy=taxonomy,
         vocabulary=dict(vocabulary),
         weights=weights,
@@ -210,6 +215,8 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
         metadata=dict(metadata),
     )
     model.validate()
+    model.weights = [[float(x) for x in row] for row in weights]
+    model.bias = [float(x) for x in bias]
     return model
 
 

@@ -53,7 +53,8 @@ _FIELD_FLAGS = {
 class CliConfig:
     """Everything main() needs, resolved from argv plus the environment."""
 
-    spec: QuerySpec | None
+    spec: QuerySpec | None  # None in interactive mode, whose spec is built after the prompts
+    flags: argparse.Namespace
     token: str | None
     token_source: str
     model_path: str | None
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drop issues containing any line of this category (repeatable)")
     parser.add_argument("--no-strict-match", action="store_true",
                         help="skip the verbatim query-string refilter")
-    parser.add_argument("--strict-scope", default="issue", choices=("issue", "comment"),
+    parser.add_argument("--strict-scope", default="issue", choices=pipeline.STRICT_SCOPES,
                         help="apply the strict filter per issue or per comment (default issue)")
     parser.add_argument("--min-comments", type=int, default=1,
                         help="issues with fewer comments count as having no discussion (default 1)")
@@ -123,27 +124,9 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         token, token_source = environment["GITHUB_TOKEN"], "environment"
     else:
         token, token_source = None, "none"
-    spec = None
-    if not args.interactive:
-        try:
-            spec = QuerySpec(
-                query=args.query,
-                limit=args.limit,
-                sort=args.sort,
-                order=args.order,
-                strict_match=not args.no_strict_match,
-                strict_scope=args.strict_scope,
-                omit_categories=frozenset(args.omit_category),
-                require_categories=frozenset(args.require_category),
-                forbid_categories=frozenset(args.forbid_category),
-                min_comments=args.min_comments,
-            )
-        except ValueError as exc:
-            fields, colon, detail = str(exc).partition(":")
-            fields = " ".join(_FIELD_FLAGS.get(word, word) for word in fields.split(" "))
-            raise UsageError(fields + colon + detail) from None
     return CliConfig(
-        spec=spec,
+        spec=None if args.interactive else _query_spec(args),
+        flags=args,
         token=token,
         token_source=token_source,
         model_path=args.model,
@@ -153,6 +136,31 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         interactive=args.interactive,
         include_confidence=args.confidence,
     )
+
+
+def _query_spec(flags: argparse.Namespace, **answers) -> QuerySpec:
+    """The QuerySpec of a run: the flags, with prompted answers in place of theirs.
+
+    A rejected spec raises UsageError naming the flag.
+    """
+    fields = {
+        "query": flags.query,
+        "limit": flags.limit,
+        "sort": flags.sort,
+        "order": flags.order,
+        "strict_match": not flags.no_strict_match,
+        "strict_scope": flags.strict_scope,
+        "omit_categories": frozenset(flags.omit_category),
+        "require_categories": frozenset(flags.require_category),
+        "forbid_categories": frozenset(flags.forbid_category),
+        "min_comments": flags.min_comments,
+    }
+    try:
+        return QuerySpec(**{**fields, **answers})
+    except ValueError as exc:
+        names, colon, detail = str(exc).partition(":")
+        names = " ".join(_FIELD_FLAGS.get(word, word) for word in names.split(" "))
+        raise UsageError(names + colon + detail) from None
 
 
 def _ask(stdin, stdout, prompt: str) -> str:
@@ -189,8 +197,11 @@ def _ask_categories(stdin, stdout, taxonomy: Taxonomy, label: str) -> frozenset[
         stdout.write(f"'{bad}' is not a category number or name, try again.\n")
 
 
-def interactive_session(stdin, stdout, taxonomy: Taxonomy) -> QuerySpec:
-    """Prompt loop building a QuerySpec; raises Aborted on cancel or EOF."""
+def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Namespace) -> QuerySpec:
+    """Prompt loop building a QuerySpec; raises Aborted on cancel or EOF.
+
+    Fields without a prompt come from ``flags``.
+    """
     query = ""
     while not query:
         query = _ask(stdin, stdout, "Query string: ")
@@ -249,7 +260,8 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy) -> QuerySpec:
     answer = _ask(stdin, stdout, "Run this query? [y/N]: ")
     if answer.lower() not in ("y", "yes"):
         raise Aborted("cancelled at confirmation")
-    return QuerySpec(
+    return _query_spec(
+        flags,
         query=query,
         limit=limit,
         sort=sort,
@@ -276,7 +288,7 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
         model = _load_model(config)
         spec = config.spec
         if config.interactive:
-            spec = interactive_session(stdin, stdout, model.taxonomy)
+            spec = interactive_session(stdin, stdout, model.taxonomy, config.flags)
         if config.fixtures_dir:
             session = open_session(config.token, mode="replay", fixture_dir=config.fixtures_dir)
         else:

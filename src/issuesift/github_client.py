@@ -18,6 +18,7 @@ order, so a recorded 403-then-200 sequence exercises the retry path.
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 import time
@@ -49,6 +50,8 @@ MAX_RETRIES = 4
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.2
+MAX_HEADER_WAIT = 3600.0  # GitHub's longest rate window
+REQUEST_TIMEOUT = 30.0
 
 SORT_KEYS = ("best-match", "comments", "created", "updated", "reactions")
 SORT_ORDERS = ("asc", "desc")
@@ -90,8 +93,8 @@ class IssueRef:
             raise ValueError(f"issue id must be positive, got {self.id}")
         if self.comment_count < 0:
             raise ValueError(f"comment_count must be >= 0, got {self.comment_count}")
-        if not self.html_url or not self.api_url:
-            raise ValueError("html_url and api_url must be non-empty")
+        if not self.html_url or not self.api_url or not self.comments_url:
+            raise ValueError("html_url, api_url and comments_url must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,12 @@ def canonical_url(url: str, params: dict | None = None) -> str:
 class LiveTransport:
     """Thin wrapper over a requests.Session with the standard GitHub headers."""
 
-    def __init__(self, token: str | None, user_agent: str = USER_AGENT, timeout: float = 30.0):
-        self._timeout = timeout
+    def __init__(self, token: str | None):
         self._session = requests.Session()
         self._session.headers.update(
             {
                 "Accept": "application/vnd.github+json",
-                "User-Agent": user_agent,
+                "User-Agent": USER_AGENT,
             }
         )
         if token:
@@ -157,7 +159,7 @@ class LiveTransport:
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
         try:
-            response = self._session.request(method, url, params=params, timeout=self._timeout)
+            response = self._session.request(method, url, params=params, timeout=REQUEST_TIMEOUT)
         except requests.RequestException as exc:
             raise _TransientFailure(str(exc)) from exc
         headers = {k.lower(): v for k, v in response.headers.items()}
@@ -253,6 +255,17 @@ class RateGate:
                 self._blocked_until[kind] = max(self._blocked_until[kind], when)
 
 
+def _header_wait(value: str | None, since: float = 0.0) -> float | None:
+    """Seconds from ``since`` to the header's number (a ``Retry-After`` wait, or an
+    ``x-ratelimit-reset`` epoch time), clamped to [0, MAX_HEADER_WAIT]; None if
+    the header is missing or not a finite number."""
+    try:
+        wait = float(value) - since
+    except (TypeError, ValueError):
+        return None
+    return min(max(0.0, wait), MAX_HEADER_WAIT) if math.isfinite(wait) else None
+
+
 def _fields(item, what: str):
     """Typed reader over one wire item, which must be a JSON object.
 
@@ -317,8 +330,6 @@ class Session:
     def __init__(
         self,
         *,
-        token: str | None,
-        mode: str,
         transport,
         gate: RateGate,
         clock,
@@ -326,10 +337,7 @@ class Session:
         base_url: str,
         wait_on_rate_limit: bool,
         parallelism: int,
-        rng: random.Random | None = None,
     ):
-        self.token = token
-        self.mode = mode
         self.base_url = base_url.rstrip("/")
         self.parallelism = max(1, parallelism)
         self._transport = transport
@@ -337,7 +345,7 @@ class Session:
         self._clock = clock
         self._sleep = sleep
         self._wait_on_rate_limit = wait_on_rate_limit
-        self._rng = rng or random.Random()
+        self._rng = random.Random()
         self._log_lock = threading.Lock()
         self.request_log: list[RequestRecord] = []
 
@@ -384,8 +392,6 @@ class Session:
 
     def fetch_comments(self, issue: IssueRef) -> list[RawComment]:
         """All comments of one issue, fully paginated, ascending created_at."""
-        if not issue.comments_url:
-            raise ValueError(f"issue {issue.id} has no comments_url")
         if issue.comment_count == 0:
             return []
         comments: list[RawComment] = []
@@ -413,77 +419,52 @@ class Session:
             raise NetworkFailure(f"invalid JSON from {url}: {exc}") from exc
 
     def _request(self, kind: str, url: str, params: dict | None = None) -> TransportReply:
-        retries = 0
+        """GET with retries: each attempt returns the reply, raises at once, or names
+        the error to raise once retries run out and the wait before the next try."""
         delay = BACKOFF_BASE
-        while True:
+        for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
             started = self._clock()
             try:
                 reply = self._transport.request("GET", url, params)
             except _TransientFailure as exc:
                 self._log(started, url, params, None)
-                if retries >= MAX_RETRIES:
-                    raise NetworkFailure(f"{url}: {exc} (after {retries} retries)") from exc
-                retries += 1
-                self._sleep(self._jittered(delay))
-                delay *= BACKOFF_FACTOR
-                continue
-            self._log(started, url, params, reply.status)
-            self._observe_headers(kind, reply.headers)
-            status = reply.status
-            if 200 <= status < 300:
-                return reply
-            if status == 401:
-                raise InvalidToken(f"credential rejected by {url}")
-            if status in (403, 429):
-                if not self._wait_on_rate_limit:
-                    raise RateLimited(f"{url} answered {status} and waiting is disabled")
-                if retries >= MAX_RETRIES:
-                    raise RateLimited(f"{url} kept answering {status} after {retries} retries")
-                retries += 1
-                self._sleep(self._rate_delay(reply.headers, delay))
-                delay *= BACKOFF_FACTOR
-                continue
-            if status in (404, 410):
-                raise IssueGone(f"{url} answered {status}")
-            if status == 422:
-                raise QueryRejected(f"{url} rejected the query (422)")
-            if 500 <= status < 600:
-                if retries >= MAX_RETRIES:
-                    raise NetworkFailure(f"{url} answered {status} after {retries} retries")
-                retries += 1
-                self._sleep(self._jittered(delay))
-                delay *= BACKOFF_FACTOR
-                continue
-            raise NetworkFailure(f"unexpected status {status} from {url}")
-
-    def _rate_delay(self, headers: dict[str, str], fallback: float) -> float:
-        retry_after = headers.get("retry-after")
-        if retry_after is not None:
-            try:
-                return max(0.0, float(retry_after))
-            except ValueError:
-                pass
-        if headers.get("x-ratelimit-remaining") == "0":
-            try:
-                reset = float(headers["x-ratelimit-reset"])
-                return max(0.0, reset - self._clock())
-            except (KeyError, ValueError):
-                pass
-        return self._jittered(fallback)
-
-    def _jittered(self, delay: float) -> float:
-        return delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER))
-
-    def _observe_headers(self, kind: str, headers: dict[str, str]) -> None:
-        # Live response headers are authoritative over the static budgets.
-        remaining = headers.get("x-ratelimit-remaining")
-        reset = headers.get("x-ratelimit-reset")
-        if remaining == "0" and reset is not None and kind in ("search", "core"):
-            try:
-                self._gate.block_until(kind, float(reset))
-            except ValueError:
-                pass
+                failure = NetworkFailure(f"{url}: {exc} (after {retries} retries)")
+                cause, wait = exc, None
+            else:
+                self._log(started, url, params, reply.status)
+                status, headers = reply.status, reply.headers
+                cause = wait = reset = None
+                if headers.get("x-ratelimit-remaining") == "0":
+                    # Live response headers are authoritative over the static budgets.
+                    now = self._clock()
+                    reset = _header_wait(headers.get("x-ratelimit-reset"), now)
+                    if reset is not None:
+                        self._gate.block_until(kind, now + reset)
+                if 200 <= status < 300:
+                    return reply
+                if status == 401:
+                    raise InvalidToken(f"credential rejected by {url}")
+                if status in (404, 410):
+                    raise IssueGone(f"{url} answered {status}")
+                if status == 422:
+                    raise QueryRejected(f"{url} rejected the query (422)")
+                if status in (403, 429):
+                    if not self._wait_on_rate_limit:
+                        raise RateLimited(f"{url} answered {status} and waiting is disabled")
+                    failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
+                    retry_after = _header_wait(headers.get("retry-after"))
+                    wait = reset if retry_after is None else retry_after
+                elif 500 <= status < 600:
+                    failure = NetworkFailure(f"{url} answered {status} after {retries} retries")
+                else:
+                    raise NetworkFailure(f"unexpected status {status} from {url}")
+            if retries == MAX_RETRIES:
+                raise failure from cause
+            if wait is None:
+                wait = delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER))
+            self._sleep(wait)
+            delay *= BACKOFF_FACTOR
 
     def _log(self, at: float, url: str, params: dict | None, status: int | None) -> None:
         with self._log_lock:
@@ -498,7 +479,6 @@ def open_session(
     fixture_dir: str | Path | None = None,
     *,
     base_url: str = GITHUB_API,
-    user_agent: str = USER_AGENT,
     wait_on_rate_limit: bool = True,
     clock=None,
     sleep=None,
@@ -518,29 +498,21 @@ def open_session(
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
     clock = clock or time.time
     sleep = sleep or time.sleep
-    budgets: dict[str, tuple[int, float]] = {}
-    if mode == "replay":
+    if mode == "live":
         if transport is None:
-            if fixture_dir is None:
-                raise FixtureNotFound("replay mode requires a fixture directory")
-            transport = ReplayTransport(fixture_dir)
-        if search_per_minute is not None:
-            budgets["search"] = (search_per_minute, 60.0)
-        if core_per_hour is not None:
-            budgets["core"] = (core_per_hour, 3600.0)
-    else:
-        if transport is None:
-            transport = LiveTransport(token, user_agent=user_agent)
+            transport = LiveTransport(token)
         if search_per_minute is None:
             search_per_minute = AUTH_SEARCH_PER_MINUTE if token else ANON_SEARCH_PER_MINUTE
         if core_per_hour is None:
             core_per_hour = AUTH_CORE_PER_HOUR if token else ANON_CORE_PER_HOUR
-        budgets["search"] = (search_per_minute, 60.0)
-        budgets["core"] = (core_per_hour, 3600.0)
+    elif transport is None:
+        if fixture_dir is None:
+            raise FixtureNotFound("replay mode requires a fixture directory")
+        transport = ReplayTransport(fixture_dir)
+    windows = (("search", search_per_minute, 60.0), ("core", core_per_hour, 3600.0))
+    budgets = {kind: (count, window) for kind, count, window in windows if count is not None}
     gate = RateGate(clock=clock, sleep=sleep, wait=wait_on_rate_limit, budgets=budgets)
     session = Session(
-        token=token,
-        mode=mode,
         transport=transport,
         gate=gate,
         clock=clock,

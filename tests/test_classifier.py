@@ -261,6 +261,28 @@ class TestSerialization:
             load_model(self._write(tmp_path, doc))
         assert excinfo.value.field == "weights"
 
+    @pytest.mark.parametrize("field, value", [
+        ("weights", "x"),
+        ("weights", "1.5"),
+        ("weights", True),
+        ("weights", 10**400),
+        ("bias", None),
+        ("bias", "0"),
+        ("format_version", True),
+    ], ids=["string-weight", "numeric-string-weight", "bool-weight", "huge-int-weight",
+            "null-bias", "string-bias", "bool-version"])
+    def test_non_number_rejected_before_conversion(self, tmp_path, field, value):
+        doc = self._doc()
+        if field == "weights":
+            doc["weights"][0][0] = value
+        elif field == "bias":
+            doc["bias"][0] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_model(self._write(tmp_path, doc))
+        assert excinfo.value.field == field
+
     def test_bad_bias_length_names_bias(self, tmp_path):
         doc = self._doc()
         doc["bias"] = doc["bias"] + [0.0]
@@ -412,10 +434,6 @@ class TestTaxonomy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Taxonomy(())
-
-    def test_index_of_unknown(self):
-        with pytest.raises(UnknownCategory):
-            TWO_CLASS.index_of("missing")
 
 
 def ref_predict_line(model, tokens):

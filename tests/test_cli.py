@@ -95,6 +95,9 @@ class TestParseArgs:
         assert argv == ["--query", "x", "--limit", "5"]
 
 
+NO_FLAGS = parse_args(["--interactive"], {}).flags
+
+
 def scripted(answers):
     return io.StringIO("".join(a + "\n" for a in answers))
 
@@ -102,7 +105,7 @@ def scripted(answers):
 class TestInteractiveSession:
     def test_defaults_accepted(self):
         stdin = scripted(["tf.function", "", "", "", "", "", "", "y"])
-        spec = interactive_session(stdin, io.StringIO(), default_taxonomy())
+        spec = interactive_session(stdin, io.StringIO(), default_taxonomy(), NO_FLAGS)
         assert spec.query == "tf.function"
         assert spec.limit == 100
         assert spec.sort == "best-match"
@@ -112,35 +115,35 @@ class TestInteractiveSession:
     def test_invalid_limit_reprompts(self):
         stdout = io.StringIO()
         stdin = scripted(["q", "0", "10", "", "", "", "", "", "y"])
-        spec = interactive_session(stdin, stdout, default_taxonomy())
+        spec = interactive_session(stdin, stdout, default_taxonomy(), NO_FLAGS)
         assert spec.limit == 10
         assert "between 1 and 1000" in stdout.getvalue()
 
     def test_cancel_at_confirmation(self):
         stdin = scripted(["q", "", "", "", "", "", "", "n"])
         with pytest.raises(Aborted):
-            interactive_session(stdin, io.StringIO(), default_taxonomy())
+            interactive_session(stdin, io.StringIO(), default_taxonomy(), NO_FLAGS)
 
     def test_end_of_input_aborts(self):
         with pytest.raises(Aborted):
-            interactive_session(io.StringIO(""), io.StringIO(), default_taxonomy())
+            interactive_session(io.StringIO(""), io.StringIO(), default_taxonomy(), NO_FLAGS)
 
     def test_category_selection_by_number(self):
         taxonomy = default_taxonomy()
         stdin = scripted(["q", "", "", "", "8", "", "", "y"])
-        spec = interactive_session(stdin, io.StringIO(), taxonomy)
+        spec = interactive_session(stdin, io.StringIO(), taxonomy, NO_FLAGS)
         assert spec.omit_categories == {taxonomy.categories[7]}
 
     def test_sort_menu_by_number(self):
         stdin = scripted(["q", "", "2", "asc", "", "", "", "y"])
-        spec = interactive_session(stdin, io.StringIO(), default_taxonomy())
+        spec = interactive_session(stdin, io.StringIO(), default_taxonomy(), NO_FLAGS)
         assert spec.sort == "comments"
         assert spec.order == "asc"
 
     def test_bad_category_reprompts(self):
         stdout = io.StringIO()
         stdin = scripted(["q", "", "", "", "not-a-category", "", "", "", "y"])
-        spec = interactive_session(stdin, stdout, default_taxonomy())
+        spec = interactive_session(stdin, stdout, default_taxonomy(), NO_FLAGS)
         assert spec.omit_categories == frozenset()
         assert "not a category" in stdout.getvalue()
 
@@ -245,6 +248,19 @@ class TestMain:
         ], {}, stdin=stdin, stdout=out, stderr=err)
         assert code == 0, err.getvalue()
         assert (tmp_path / "r.csv").exists()
+
+    def test_interactive_honours_filter_flags(self, small_fixture_dir, tmp_path):
+        stdin = scripted(["tf.function", "", "", "", "", "", "", "y"])
+        out, err = io.StringIO(), io.StringIO()
+        code = main([
+            "--interactive", "--min-comments", "0", "--no-strict-match",
+            "--fixtures", str(small_fixture_dir),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ], {}, stdin=stdin, stdout=out, stderr=err)
+        assert code == 0, err.getvalue()
+        reasons = {row.rsplit(",", 1)[1]
+                   for row in (tmp_path / "o.csv").read_text(encoding="utf-8").splitlines()[1:]}
+        assert not reasons & {"no_discussion", "no_strict_match"}
 
     def test_interactive_abort_exit_1(self, small_fixture_dir, tmp_path):
         stdin = io.StringIO("".join(a + "\n" for a in

@@ -1,13 +1,17 @@
 import json
+import math
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FakeClock, ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift.errors import (
     FixtureNotFound,
+    GitHubError,
     InvalidToken,
     IssueGone,
     NetworkFailure,
@@ -16,8 +20,10 @@ from issuesift.errors import (
 )
 from issuesift.github_client import (
     GITHUB_API,
+    MAX_HEADER_WAIT,
     LiveTransport,
     RateGate,
+    _TransientFailure,
     canonical_url,
     open_session,
 )
@@ -37,11 +43,6 @@ def three_hit_fixture(tmp_path):
 
 
 class TestOpenSession:
-    def test_replay_constructor_echo(self, small_fixture_dir):
-        session = replay_session(small_fixture_dir)
-        assert session.mode == "replay"
-        assert session.token is None
-
     def test_missing_fixture_dir(self, tmp_path):
         with pytest.raises(FixtureNotFound):
             replay_session(tmp_path / "nowhere")
@@ -257,11 +258,18 @@ class TestRetryPolicy:
         assert 0.8 <= backoffs[0] <= 1.2      # 1s +/- 20% jitter
         assert 1.6 <= backoffs[1] <= 2.4      # 2s +/- 20% jitter
 
-    def test_gives_up_after_four_retries(self, fake_clock):
-        session, transport = self._session([reply(500)] * 5, fake_clock)
-        with pytest.raises(NetworkFailure):
+    @pytest.mark.parametrize("failure, raised", [
+        (_TransientFailure("timed out"), NetworkFailure),
+        (reply(403), RateLimited),
+        (reply(429), RateLimited),
+        (reply(500), NetworkFailure),
+    ], ids=["transport", "403", "429", "500"])
+    def test_gives_up_after_four_retries(self, fake_clock, failure, raised):
+        session, transport = self._session([failure] * 5, fake_clock)
+        with pytest.raises(raised, match="after 4 retries"):
             session.search_issues("q", limit=5)
         assert len(transport.requests) == 6  # probe + 1 initial + 4 retries
+        assert len(fake_clock.sleeps) == 4
 
     def test_plain_4xx_never_retried(self, fake_clock):
         session, transport = self._session([reply(400)], fake_clock)
@@ -278,6 +286,22 @@ class TestRetryPolicy:
         start = fake_clock.time()
         session.search_issues("q", limit=5)
         assert fake_clock.time() - start >= 7
+
+    @pytest.mark.parametrize("value, low, high", [
+        ("1e9", MAX_HEADER_WAIT, MAX_HEADER_WAIT),  # capped at one hour
+        ("inf", 0.8, 1.2),  # not a finite number: 1s backoff +/- 20% jitter
+        ("-inf", 0.8, 1.2),
+        ("nan", 0.8, 1.2),
+    ])
+    def test_retry_after_capped_or_ignored(self, fake_clock, value, low, high):
+        replies = [
+            reply(403, {}, headers={"Retry-After": value}),
+            reply(200, {"total_count": 0, "items": []}),
+        ]
+        session, _ = self._session(replies, fake_clock)
+        session.search_issues("q", limit=5)
+        assert len(fake_clock.sleeps) == 1
+        assert low <= fake_clock.sleeps[0] <= high
 
     def test_429_uses_reset_header_when_no_retry_after(self, fake_clock):
         reset = int(fake_clock.time()) + 11
@@ -297,10 +321,34 @@ class TestRetryPolicy:
             session.search_issues("q", limit=5)
 
     def test_timeout_is_transient(self, fake_clock):
-        from issuesift.github_client import _TransientFailure
         replies = [_TransientFailure("timed out"), reply(200, {"total_count": 0, "items": []})]
         session, _ = self._session(replies, fake_clock)
         assert session.search_issues("q", limit=5) == []
+
+    @given(
+        status=st.sampled_from([200, 403, 429]),
+        header=st.sampled_from(["retry-after", "x-ratelimit-reset"]),
+        value=st.one_of(
+            st.text(),
+            st.sampled_from(["inf", "-inf", "nan", "1e300", "1e309", "-1e300", "3601", "1_000"]),
+            st.floats().map(str),
+            st.integers().map(str),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_rate_header_text_gives_bounded_sleeps(self, status, header, value):
+        clock = FakeClock()
+        headers = {header: value}
+        if header == "x-ratelimit-reset":
+            headers["x-ratelimit-remaining"] = "0"
+        replies = [reply(status, {"total_count": 0, "items": []}, headers=headers)] * 5
+        session, _ = self._session(replies, clock)
+        try:
+            session.search_issues("q", limit=5)
+            session.search_issues("q", limit=5)  # waits out a header block on the gate
+        except GitHubError:
+            pass
+        assert all(math.isfinite(s) and 0 <= s <= MAX_HEADER_WAIT for s in clock.sleeps)
 
     @pytest.mark.parametrize("items", [None, {"id": 1}, "items"])
     def test_non_list_search_items_rejected(self, fake_clock, items):

@@ -373,7 +373,9 @@ class TestRun:
         {**make_issue(20, 2, title="tf.function"), "number": "2"},
         {**make_issue(20, 2), "title": 5},
         {**make_issue(20, 2, title="tf.function"), "comments": -1},
-    ], ids=["no-id", "string", "bool-id", "string-number", "int-title", "negative-comments"])
+        {**make_issue(20, 2, title="tf.function"), "comments_url": None},
+    ], ids=["no-id", "string", "bool-id", "string-number", "int-title", "negative-comments",
+            "null-comments-url"])
     def test_malformed_search_item_raises_network_failure(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=0)
         transport = ScriptedTransport([
