@@ -56,7 +56,6 @@ class CliConfig:
     spec: QuerySpec | None  # None in interactive mode, whose spec is built after the prompts
     flags: argparse.Namespace
     token: str | None
-    token_source: str
     model_path: str | None
     output_path: str
     omitted_path: str
@@ -110,25 +109,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str], environment: dict) -> CliConfig:
-    """Pure translation of (argv, environment) into a CliConfig."""
+    """Translate (argv, environment) into a CliConfig; reads files only to resolve paths."""
     args = build_parser().parse_args(argv)
     if args.interactive and args.query is not None:
         raise UsageError("--interactive and --query are mutually exclusive")
     if not args.interactive and args.query is None:
         raise UsageError("either --query or --interactive is required")
-    if Path(args.output) == Path(args.omitted_output):
+    if Path(args.output).resolve() == Path(args.omitted_output).resolve():
         raise UsageError("--output and --omitted-output must differ")
-    if args.token is not None:
-        token, token_source = args.token, "flag"
-    elif environment.get("GITHUB_TOKEN"):
-        token, token_source = environment["GITHUB_TOKEN"], "environment"
-    else:
-        token, token_source = None, "none"
+    if args.interactive:
+        # The prompts answer the query, limit and categories; check the other flags
+        # now, before the first prompt.
+        _query_spec(args, query="?", limit=DEFAULT_LIMIT, require_categories=frozenset())
     return CliConfig(
         spec=None if args.interactive else _query_spec(args),
         flags=args,
-        token=token,
-        token_source=token_source,
+        token=args.token if args.token is not None else environment.get("GITHUB_TOKEN") or None,
         model_path=args.model,
         output_path=args.output,
         omitted_path=args.omitted_output,

@@ -120,7 +120,6 @@ class RequestRecord:
     """One dispatched request, for throttle inspection and debugging."""
 
     at: float
-    method: str
     url: str
     status: int | None
 
@@ -152,10 +151,6 @@ class LiveTransport:
         )
         if token:
             self._session.headers["Authorization"] = f"Bearer {token}"
-
-    @property
-    def headers(self) -> dict[str, str]:
-        return dict(self._session.headers)
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
         try:
@@ -271,7 +266,7 @@ def _fields(item, what: str):
 
     ``field(key, kind)`` is ``item[key]`` if that is a ``kind`` (never a bool),
     ``kind()`` if it is null or missing and not ``required``; anything else
-    raises NetworkFailure.
+    raises NetworkFailure. So does a string UTF-8 cannot encode (a ``\\ud800`` escape).
     """
     if not isinstance(item, dict):
         raise NetworkFailure(f"{what} is not an object")
@@ -282,6 +277,11 @@ def _fields(item, what: str):
             return kind()
         if not isinstance(value, kind) or isinstance(value, bool):
             raise NetworkFailure(f"{what} has a missing or non-{kind.__name__} {key!r}")
+        if kind is str and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise NetworkFailure(f"{what} has a {key!r} that is not valid UTF-8") from exc
         return value
 
     return field
@@ -469,7 +469,7 @@ class Session:
     def _log(self, at: float, url: str, params: dict | None, status: int | None) -> None:
         with self._log_lock:
             self.request_log.append(
-                RequestRecord(at=at, method="GET", url=canonical_url(url, params), status=status)
+                RequestRecord(at=at, url=canonical_url(url, params), status=status)
             )
 
 

@@ -10,12 +10,12 @@ exactly once.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .classifier import ModelFile, Prediction, classify_lines
+from .classifier import ModelFile, classify_lines
 from .errors import GitHubError, UnknownCategory
 from .github_client import IssueRef, RawComment, Session, check_search
-from .text_prep import PrepConfig, ProcessedLine, preprocess_comment
+from .text_prep import PrepConfig, preprocess_comment
 
 OMISSION_REASONS = ("no_strict_match", "no_discussion", "fetch_failed", "category_filtered")
 STRICT_SCOPES = ("issue", "comment")
@@ -63,17 +63,19 @@ class OmittedIssue:
             raise ValueError(f"unknown omission reason {self.reason!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedRecord:
-    """One classified comment line of a kept issue."""
+    """One classified comment line of a kept issue: what its CSV row reads, no more.
+
+    ``classifier.predict_line`` returns the full score vector, which is not kept.
+    """
 
     issue: IssueRef
-    line: ProcessedLine
-    prediction: Prediction
-
-    def __post_init__(self):
-        if self.issue.id != self.line.issue_id:
-            raise ValueError("record issue id does not match its line")
+    comment_id: int
+    line_index: int
+    comment_line: str
+    category: str
+    confidence: float
 
 
 @dataclass
@@ -130,11 +132,11 @@ def apply_category_filters(
     surviving: list[ClassifiedRecord] = []
     omitted: list[OmittedIssue] = []
     for issue, records in grouped:
-        categories = {r.prediction.category for r in records}
+        categories = {r.category for r in records}
         if spec.require_categories - categories or categories & spec.forbid_categories:
             omitted.append(OmittedIssue(issue=issue, reason="category_filtered"))
             continue
-        surviving.extend(r for r in records if r.prediction.category not in spec.omit_categories)
+        surviving.extend(r for r in records if r.category not in spec.omit_categories)
     return surviving, omitted
 
 
@@ -170,7 +172,9 @@ def run(
 
     grouped: list[tuple[IssueRef, list[ClassifiedRecord]]] = []
     omitted: list[OmittedIssue] = []
-    for issue, comments, error in fetched:
+    for position, (issue, comments, error) in enumerate(fetched):
+        # Release this issue's raw thread: only its records outlive the loop.
+        fetched[position] = None
         if error is not None:
             omitted.append(OmittedIssue(issue=issue, reason="fetch_failed"))
             continue
@@ -178,15 +182,14 @@ def run(
             omitted.append(OmittedIssue(issue=issue, reason="no_discussion"))
             continue
         if spec.strict_match:
-            kept, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
+            comments, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
             if not matched:
                 omitted.append(OmittedIssue(issue=issue, reason="no_strict_match"))
                 continue
-        else:
-            kept = comments
-        lines = [line for comment in kept for line in preprocess_comment(comment, prep)]
+        lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
         records = [
-            ClassifiedRecord(issue=issue, line=line, prediction=prediction)
+            ClassifiedRecord(issue, line.comment_id, line.line_index, line.rendered,
+                             prediction.category, prediction.confidence)
             for line, prediction in classify_lines(model, lines)
         ]
         grouped.append((issue, records))
@@ -194,12 +197,12 @@ def run(
     records, category_omitted = apply_category_filters(grouped, spec)
     omitted.extend(category_omitted)
 
-    records.sort(key=lambda r: (r.issue.id, r.line.comment_id, r.line.line_index))
+    records.sort(key=lambda r: (r.issue.id, r.comment_id, r.line_index))
     omitted.sort(key=lambda o: o.issue.id)
 
     per_category = {name: 0 for name in model.taxonomy}
     for record in records:
-        per_category[record.prediction.category] += 1
+        per_category[record.category] += 1
     per_reason = {reason: 0 for reason in OMISSION_REASONS}
     for omission in omitted:
         per_reason[omission.reason] += 1

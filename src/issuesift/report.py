@@ -8,8 +8,6 @@ files, which golden tests rely on.
 from __future__ import annotations
 
 import csv
-import io
-from pathlib import Path
 
 from .errors import IoFailure
 from .pipeline import OMISSION_REASONS, ClassifiedRecord, OmittedIssue, RunSummary
@@ -19,15 +17,15 @@ OMITTED_COLUMNS = ("id", "html_url", "api_url", "reason")
 
 
 def _write_csv(path, header, rows) -> int:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(header)
+    # Rows go straight to the file: no copy of the whole CSV is built in memory.
     count = 0
-    for row in rows:
-        writer.writerow(row)
-        count += 1
     try:
-        Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+                count += 1
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return count
@@ -49,13 +47,13 @@ def write_results(
                 r.issue.id,
                 r.issue.html_url,
                 r.issue.api_url,
-                r.line.comment_id,
-                r.line.line_index,
-                r.line.rendered,
-                r.prediction.category,
+                r.comment_id,
+                r.line_index,
+                r.comment_line,
+                r.category,
             ]
             if include_confidence:
-                row.append(f"{r.prediction.confidence:.4f}")
+                row.append(f"{r.confidence:.4f}")
             yield row
     return _write_csv(path, header, rows())
 

@@ -83,7 +83,7 @@ class PrepConfig:
         return cls(stop_words=default_stop_words(), custom_stop_words=frozenset(custom_stop_words))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessedLine:
     """One cleaned, tokenized comment line ready for classification."""
 
@@ -91,7 +91,6 @@ class ProcessedLine:
     comment_id: int
     line_index: int
     tokens: tuple[str, ...]
-    raw_line: str
 
     def __post_init__(self):
         if not self.tokens:
@@ -230,7 +229,6 @@ def preprocess_comment(comment, config: PrepConfig | None = None) -> list[Proces
                 comment_id=comment.comment_id,
                 line_index=len(lines),
                 tokens=tuple(tokens),
-                raw_line=raw_line,
             )
         )
     return lines

@@ -336,7 +336,7 @@ def test_c9_category_filters(tmp_path):
         session = open_session(None, mode="replay", fixture_dir=fixture)
         spec = QuerySpec(query=query, limit=limit, omit_categories=omit)
         records, _, _ = run(spec, session, model, PREP)
-        assert all(r.prediction.category not in omit for r in records)
+        assert all(r.category not in omit for r in records)
         if omit:
             saw_omitted_row = True
 
@@ -344,7 +344,7 @@ def test_c9_category_filters(tmp_path):
         forbidden = QuerySpec(query=query, limit=limit,
                               forbid_categories=frozenset({"Solution Discussion"}))
         records2, omitted2, _ = run(forbidden, session2, model, PREP)
-        assert all(r.prediction.category != "Solution Discussion" for r in records2)
+        assert all(r.category != "Solution Discussion" for r in records2)
         if any(o.reason == "category_filtered" for o in omitted2):
             saw_forbidden_issue = True
     assert saw_omitted_row and saw_forbidden_issue, "filters never exercised; scenarios too tame"

@@ -172,7 +172,7 @@ class TestPredictLine:
 class TestClassifyLines:
     def line(self, tokens, index=0):
         return ProcessedLine(issue_id=1, comment_id=2, line_index=index,
-                             tokens=tuple(tokens), raw_line=" ".join(tokens))
+                             tokens=tuple(tokens))
 
     def test_empty(self):
         assert classify_lines(two_class_model(), []) == []

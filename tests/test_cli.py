@@ -21,7 +21,7 @@ class TestParseArgs:
         assert config.spec.min_comments == 1
         assert config.output_path == "results.csv"
         assert config.omitted_path == "omitted.csv"
-        assert config.token is None and config.token_source == "none"
+        assert config.token is None
         assert config.interactive is False
         assert config.include_confidence is False
 
@@ -46,6 +46,19 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["--query", "x", "--output", "a.csv", "--omitted-output", "a.csv"], {})
 
+    def test_same_output_file_through_dotdot_rejected(self, tmp_path):
+        (tmp_path / "o" / "d").mkdir(parents=True)
+        with pytest.raises(UsageError, match="--output and --omitted-output must differ"):
+            parse_args(["--query", "x", "--output", str(tmp_path / "o" / "out.csv"),
+                        "--omitted-output", str(tmp_path / "o" / "d" / ".." / "out.csv")], {})
+
+    def test_same_output_file_through_symlink_rejected(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+        with pytest.raises(UsageError, match="--output and --omitted-output must differ"):
+            parse_args(["--query", "x", "--output", str(tmp_path / "real" / "out.csv"),
+                        "--omitted-output", str(tmp_path / "link" / "out.csv")], {})
+
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
             parse_args(["--query", "x", "--frobnicate"], {})
@@ -57,13 +70,11 @@ class TestParseArgs:
     def test_token_env_fallback(self):
         config = parse_args(["--query", "x"], {"GITHUB_TOKEN": "env-token"})
         assert config.token == "env-token"
-        assert config.token_source == "environment"
 
     def test_token_flag_wins_over_env(self):
         config = parse_args(["--query", "x", "--token", "flag-token"],
                             {"GITHUB_TOKEN": "env-token"})
         assert config.token == "flag-token"
-        assert config.token_source == "flag"
 
     def test_category_flags_repeatable(self):
         config = parse_args(
@@ -204,6 +215,24 @@ class TestMain:
         assert code == 2
         assert "search item" in err
 
+    def test_lone_surrogate_in_search_item_exit_2(self, tmp_path):
+        item = make_issue(1, 1, title="x")
+        item["html_url"] += "-SURROGATE"
+        writer = FixtureWriter(tmp_path / "fx")
+        writer.add(f"{GITHUB_API}/search/issues?q=x&per_page=100&page=1",
+                   {"total_count": 1, "incomplete_results": False, "items": [item]})
+        writer.write_manifest()
+        # On the wire the item holds the JSON escape, which decodes to a lone surrogate.
+        page = tmp_path / "fx" / writer.entries[0]["body"]
+        page.write_text(page.read_text(encoding="utf-8").replace("-SURROGATE", "\\ud800"),
+                        encoding="utf-8")
+        code, _, err = self.run_main([
+            "--query", "x", "--fixtures", str(tmp_path / "fx"),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert "search item" in err and "UTF-8" in err
+
     def test_malformed_manifest_exit_3(self, tmp_path):
         fixture = write_fixture(tmp_path / "fx", query="x", issues=[])
         (fixture / "manifest.json").write_text('{"entries": [{"url": "x"}]}', encoding="utf-8")
@@ -261,6 +290,17 @@ class TestMain:
         reasons = {row.rsplit(",", 1)[1]
                    for row in (tmp_path / "o.csv").read_text(encoding="utf-8").splitlines()[1:]}
         assert not reasons & {"no_discussion", "no_strict_match"}
+
+    def test_interactive_bad_flag_rejected_before_any_prompt(self, small_fixture_dir, tmp_path):
+        stdin = scripted(["tf.function", "", "", "", "", "", "", "y"])
+        out, err = io.StringIO(), io.StringIO()
+        code = main([
+            "--interactive", "--min-comments", "-1", "--fixtures", str(small_fixture_dir),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ], {}, stdin=stdin, stdout=out, stderr=err)
+        assert code == 1
+        assert err.getvalue() == "usage error: --min-comments must be >= 0, got -1\n"
+        assert out.getvalue() == ""
 
     def test_interactive_abort_exit_1(self, small_fixture_dir, tmp_path):
         stdin = io.StringIO("".join(a + "\n" for a in

@@ -420,14 +420,13 @@ class TestRateGate:
 
 class TestLiveTransportHeaders:
     def test_credential_header_present_with_token(self):
-        transport = LiveTransport("secret-token")
-        assert transport.headers["Authorization"] == "Bearer secret-token"
-        assert transport.headers["Accept"] == "application/vnd.github+json"
-        assert "issuesift" in transport.headers["User-Agent"]
+        headers = LiveTransport("secret-token")._session.headers
+        assert headers["Authorization"] == "Bearer secret-token"
+        assert headers["Accept"] == "application/vnd.github+json"
+        assert "issuesift" in headers["User-Agent"]
 
     def test_anonymous_has_no_credential(self):
-        transport = LiveTransport(None)
-        assert "Authorization" not in transport.headers
+        assert "Authorization" not in LiveTransport(None)._session.headers
 
 
 class TestCanonicalUrl:

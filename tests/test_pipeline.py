@@ -3,7 +3,7 @@ import pytest
 from conftest import ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
-from issuesift.classifier import LabeledCorpus, Taxonomy, train_baseline
+from issuesift.classifier import LabeledCorpus, Taxonomy, load_default_model, train_baseline
 from issuesift.errors import NetworkFailure, UnknownCategory
 from issuesift.github_client import GITHUB_API, IssueRef, RawComment, open_session
 from issuesift.pipeline import (
@@ -15,7 +15,7 @@ from issuesift.pipeline import (
     run,
     strict_match,
 )
-from issuesift.text_prep import PrepConfig
+from issuesift.text_prep import PrepConfig, preprocess_comment
 
 PREP = PrepConfig(stop_words=frozenset())
 
@@ -119,12 +119,11 @@ def classified(issue, category, comment_id=100, line_index=0):
     from issuesift.classifier import predict_line
     model = keyword_model()
     token = {"Solution Discussion": "fixing", "Social Discussion": "cheers", "Usage": "blank"}[category]
-    from issuesift.text_prep import ProcessedLine
-    line = ProcessedLine(issue_id=issue.id, comment_id=comment_id, line_index=line_index,
-                         tokens=(token,), raw_line=token)
-    prediction = predict_line(model, line.tokens)
+    prediction = predict_line(model, (token,))
     assert prediction.category == category
-    return ClassifiedRecord(issue=issue, line=line, prediction=prediction)
+    return ClassifiedRecord(issue=issue, comment_id=comment_id, line_index=line_index,
+                            comment_line=token, category=prediction.category,
+                            confidence=prediction.confidence)
 
 
 class TestApplyCategoryFilters:
@@ -146,7 +145,7 @@ class TestApplyCategoryFilters:
         spec = QuerySpec(query="q", omit_categories=frozenset({"Social Discussion"}))
         surviving, omitted = apply_category_filters([(issue, records)], spec)
         assert len(surviving) == 2
-        assert all(r.prediction.category == "Usage" for r in surviving)
+        assert all(r.category == "Usage" for r in surviving)
         assert omitted == []
 
     def test_empty_filters_identity(self):
@@ -258,7 +257,7 @@ class TestRun:
         second = once()
         assert first == second
         records = first[0]
-        keys = [(r.issue.id, r.line.comment_id, r.line.line_index) for r in records]
+        keys = [(r.issue.id, r.comment_id, r.line_index) for r in records]
         assert keys == sorted(keys)
 
     def test_fetch_failure_degrades_to_omission(self, tmp_path):
@@ -297,7 +296,7 @@ class TestRun:
         session = open_session(None, mode="replay", fixture_dir=fixture)
         spec = QuerySpec(query="tf.function", strict_scope="comment")
         records, _, _ = run(spec, session, keyword_model(), PREP)
-        assert {r.line.comment_id for r in records} == {100}
+        assert {r.comment_id for r in records} == {100}
 
     def test_min_comments_zero_classifies_commentless_issue(self, tmp_path):
         issue = make_issue(10, 1, title="tf.function quiet", comments=0)
@@ -343,6 +342,7 @@ class TestRun:
         {"id": 1, "user": "bob"},
         {"id": 1, "body": "tf.function", "created_at": 7},
         {"id": 1, "body": "tf.function", "user": {"login": ["bob"]}},
+        {"id": 1, "body": "tf.function ab\ud800cd"},  # sent as the JSON escape \ud800
     ])
     def test_malformed_comment_item_degrades_to_fetch_failed(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=1)
@@ -400,12 +400,26 @@ class TestSummaryInvariants:
         with pytest.raises(ValueError):
             OmittedIssue(issue=issue_ref(), reason="because")
 
-    def test_record_issue_line_agreement(self):
-        from issuesift.text_prep import ProcessedLine
-        from issuesift.classifier import predict_line
-        model = keyword_model()
-        line = ProcessedLine(issue_id=999, comment_id=1, line_index=0,
-                             tokens=("blank",), raw_line="blank")
-        with pytest.raises(ValueError):
-            ClassifiedRecord(issue=issue_ref(issue_id=1), line=line,
-                             prediction=predict_line(model, line.tokens))
+    def test_records_come_from_their_own_issue_thread(self, small_fixture_dir):
+        session = open_session(None, mode="replay", fixture_dir=small_fixture_dir)
+        records, _, _ = run(QuerySpec(query="tf.function"), session,
+                            load_default_model(), PrepConfig.default())
+        threads = {
+            issue.id: {c.comment_id for c in session.fetch_comments(issue)}
+            for issue in session.search_issues("tf.function", 1000)
+        }
+        assert len({r.issue.id for r in records}) == 2
+        for r in records:
+            assert r.comment_id in threads[r.issue.id]
+        keys = [(r.issue.id, r.comment_id, r.line_index) for r in records]
+        assert len(set(keys)) == len(keys)
+
+    def test_line_data_has_no_instance_dict(self, small_fixture_dir):
+        session = open_session(None, mode="replay", fixture_dir=small_fixture_dir)
+        prep = PrepConfig.default()
+        records, _, _ = run(QuerySpec(query="tf.function"), session, load_default_model(), prep)
+        issue = session.search_issues("tf.function", 1)[0]
+        lines = preprocess_comment(session.fetch_comments(issue)[0], prep)
+        assert records and lines
+        for instance in (records[0], lines[0]):
+            assert not hasattr(instance, "__dict__")

@@ -1,13 +1,16 @@
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from issuesift.classifier import Prediction
 from issuesift.errors import IoFailure
 from issuesift.github_client import GITHUB_API, IssueRef
 from issuesift.pipeline import ClassifiedRecord, OmittedIssue, RunSummary
-from issuesift.report import render_summary, write_omitted, write_results
-from issuesift.text_prep import ProcessedLine
+from issuesift.report import RESULT_COLUMNS, render_summary, write_omitted, write_results
 
 
 def issue_ref(issue_id=415902593, number=26104):
@@ -23,11 +26,9 @@ def issue_ref(issue_id=415902593, number=26104):
 
 def record(rendered, category="Observed Bug Behavior", issue_id=415902593,
            comment_id=100, line_index=0, confidence=0.875):
-    tokens = tuple(rendered.split())
-    line = ProcessedLine(issue_id=issue_id, comment_id=comment_id,
-                         line_index=line_index, tokens=tokens, raw_line=rendered)
-    prediction = Prediction(category=category, scores=(0.0,), confidence=confidence)
-    return ClassifiedRecord(issue=issue_ref(issue_id=issue_id), line=line, prediction=prediction)
+    return ClassifiedRecord(issue=issue_ref(issue_id=issue_id), comment_id=comment_id,
+                            line_index=line_index, comment_line=rendered,
+                            category=category, confidence=confidence)
 
 
 class TestWriteResults:
@@ -71,10 +72,10 @@ class TestWriteResults:
             assert row["id"] == str(rec.issue.id)
             assert row["html_url"] == rec.issue.html_url
             assert row["api_url"] == rec.issue.api_url
-            assert row["comment_id"] == str(rec.line.comment_id)
-            assert row["line_index"] == str(rec.line.line_index)
-            assert row["comment_line"] == rec.line.rendered
-            assert row["category"] == rec.prediction.category
+            assert row["comment_id"] == str(rec.comment_id)
+            assert row["line_index"] == str(rec.line_index)
+            assert row["comment_line"] == rec.comment_line
+            assert row["category"] == rec.category
 
     def test_confidence_column_optional(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -100,6 +101,48 @@ class TestWriteResults:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoFailure):
             write_results([], tmp_path)  # directory, not file
+
+
+def ref_write_results(records, path, include_confidence=False):
+    """The results writer as it was when it built the whole CSV in a StringIO."""
+    header = RESULT_COLUMNS + ("confidence",) if include_confidence else RESULT_COLUMNS
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    for r in records:
+        row = [r.issue.id, r.issue.html_url, r.issue.api_url, r.comment_id, r.line_index,
+               r.comment_line, r.category]
+        if include_confidence:
+            row.append(f"{r.confidence:.4f}")
+        writer.writerow(row)
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    return len(records)
+
+
+_CSV_FRAGMENTS = list('ab ,"\'\n\r\téß日½') + ['""', ", ", "\r\n", "CODE", "tf.function"]
+RECORDS = st.lists(
+    st.builds(
+        record,
+        st.lists(st.sampled_from(_CSV_FRAGMENTS), max_size=12).map("".join),
+        category=st.sampled_from(["Usage", "Social Discussion", "Observed Bug Behavior"]),
+        issue_id=st.integers(1, 10**12),
+        comment_id=st.integers(1, 10**12),
+        line_index=st.integers(0, 50),
+        confidence=st.floats(0.0, 1.0),
+    ),
+    max_size=8,
+)
+
+
+class TestStreamedWriteMatchesReference:
+    @given(RECORDS, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_stringio_writer(self, records, include_confidence):
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed, reference = Path(tmp, "streamed.csv"), Path(tmp, "reference.csv")
+            count = write_results(records, streamed, include_confidence)
+            assert count == ref_write_results(records, reference, include_confidence)
+            assert streamed.read_bytes() == reference.read_bytes()
 
 
 class TestWriteOmitted:

@@ -177,7 +177,7 @@ class TestConfig:
 
     def test_processed_line_requires_tokens(self):
         with pytest.raises(ValueError):
-            ProcessedLine(issue_id=1, comment_id=2, line_index=0, tokens=(), raw_line="x")
+            ProcessedLine(issue_id=1, comment_id=2, line_index=0, tokens=())
 
 
 _FRAGMENTS = list("abcXYZ @'\"`\n.:/-_#!") + [
@@ -340,7 +340,6 @@ def ref_preprocess_comment(comment, config):
                 comment_id=comment.comment_id,
                 line_index=len(lines),
                 tokens=tuple(tokens),
-                raw_line=raw_line,
             )
         )
     return lines
