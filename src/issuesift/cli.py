@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import pipeline, report
-from .classifier import ModelFile, Taxonomy, load_default_model, load_model
+from .classifier import Taxonomy, load_default_model, load_model
 from .errors import (
     Aborted,
     FixtureNotFound,
@@ -56,12 +56,6 @@ class CliConfig:
     spec: QuerySpec | None  # None in interactive mode, whose spec is built after the prompts
     flags: argparse.Namespace
     token: str | None
-    model_path: str | None
-    output_path: str
-    omitted_path: str
-    fixtures_dir: str | None
-    interactive: bool
-    include_confidence: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,12 +119,6 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         spec=None if args.interactive else _query_spec(args),
         flags=args,
         token=args.token if args.token is not None else environment.get("GITHUB_TOKEN") or None,
-        model_path=args.model,
-        output_path=args.output,
-        omitted_path=args.omitted_output,
-        fixtures_dir=args.fixtures,
-        interactive=args.interactive,
-        include_confidence=args.confidence,
     )
 
 
@@ -268,12 +256,6 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Names
     )
 
 
-def _load_model(config: CliConfig) -> ModelFile:
-    if config.model_path:
-        return load_model(config.model_path)
-    return load_default_model()
-
-
 def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout=None, stderr=None) -> int:
     environment = dict(environment if environment is not None else os.environ)
     stdin = stdin or sys.stdin
@@ -281,20 +263,19 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
     stderr = stderr or sys.stderr
     try:
         config = parse_args(argv, environment)
-        model = _load_model(config)
-        spec = config.spec
-        if config.interactive:
-            spec = interactive_session(stdin, stdout, model.taxonomy, config.flags)
-        if config.fixtures_dir:
-            session = open_session(config.token, mode="replay", fixture_dir=config.fixtures_dir)
+        flags = config.flags
+        model = load_model(flags.model) if flags.model else load_default_model()
+        spec = config.spec or interactive_session(stdin, stdout, model.taxonomy, flags)
+        if flags.fixtures:
+            session = open_session(config.token, mode="replay", fixture_dir=flags.fixtures)
         else:
             session = open_session(config.token, mode="live")
         stdout.write(f"searching for {spec.query!r} (limit {spec.limit})...\n")
         records, omitted, summary = pipeline.run(spec, session, model, PrepConfig.default())
-        rows = report.write_results(records, config.output_path, config.include_confidence)
-        report.write_omitted(omitted, config.omitted_path)
-        stdout.write(f"wrote {rows} rows to {config.output_path}, "
-                     f"{len(omitted)} omissions to {config.omitted_path}\n\n")
+        rows = report.write_results(records, flags.output, flags.confidence)
+        report.write_omitted(omitted, flags.omitted_output)
+        stdout.write(f"wrote {rows} rows to {flags.output}, "
+                     f"{len(omitted)} omissions to {flags.omitted_output}\n\n")
         stdout.write(report.render_summary(summary) + "\n")
         return 0
     except (UsageError, UnknownCategory) as exc:

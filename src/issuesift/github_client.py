@@ -12,7 +12,7 @@ Fixture directory layout::
 
 Each manifest entry holds ``method``, ``url`` (full URL including the query
 string), and the two file names. Repeated entries for one URL are consumed in
-order, so a recorded 403-then-200 sequence exercises the retry path.
+order, so a recorded rate-limit-then-200 sequence exercises the retry path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
@@ -113,15 +113,6 @@ class TransportReply:
     status: int
     headers: dict[str, str]
     body: bytes
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """One dispatched request, for throttle inspection and debugging."""
-
-    at: float
-    url: str
-    status: int | None
 
 
 class _TransientFailure(Exception):
@@ -346,8 +337,6 @@ class Session:
         self._sleep = sleep
         self._wait_on_rate_limit = wait_on_rate_limit
         self._rng = random.Random()
-        self._log_lock = threading.Lock()
-        self.request_log: list[RequestRecord] = []
 
     # -- public operations -------------------------------------------------
 
@@ -374,9 +363,9 @@ class Session:
                 params["sort"] = sort
                 params["order"] = order
             doc = self._request_json("search", url, params)
-            items = doc.get("items", []) if isinstance(doc, dict) else []
+            items = doc.get("items") if isinstance(doc, dict) else None
             if not isinstance(items, list):
-                raise NetworkFailure(f"search endpoint returned a non-list 'items' for {query!r}")
+                raise NetworkFailure(f"search endpoint returned no 'items' list for {query!r}")
             for item in items:
                 issue = _issue_from_item(item)
                 if issue.id in seen_ids:
@@ -424,18 +413,16 @@ class Session:
         delay = BACKOFF_BASE
         for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
-            started = self._clock()
             try:
                 reply = self._transport.request("GET", url, params)
             except _TransientFailure as exc:
-                self._log(started, url, params, None)
                 failure = NetworkFailure(f"{url}: {exc} (after {retries} retries)")
                 cause, wait = exc, None
             else:
-                self._log(started, url, params, reply.status)
                 status, headers = reply.status, reply.headers
                 cause = wait = reset = None
-                if headers.get("x-ratelimit-remaining") == "0":
+                exhausted = headers.get("x-ratelimit-remaining") == "0"
+                if exhausted:
                     # Live response headers are authoritative over the static budgets.
                     now = self._clock()
                     reset = _header_wait(headers.get("x-ratelimit-reset"), now)
@@ -449,7 +436,11 @@ class Session:
                     raise IssueGone(f"{url} answered {status}")
                 if status == 422:
                     raise QueryRejected(f"{url} rejected the query (422)")
-                if status in (403, 429):
+                # A 403 is retried only if it says it is a rate limit (GitHub's primary
+                # and secondary limit replies); a permission denial is not retried.
+                if status == 429 or (status == 403 and (
+                    exhausted or "retry-after" in headers or b"rate limit" in reply.body.lower()
+                )):
                     if not self._wait_on_rate_limit:
                         raise RateLimited(f"{url} answered {status} and waiting is disabled")
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
@@ -465,12 +456,6 @@ class Session:
                 wait = delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER))
             self._sleep(wait)
             delay *= BACKOFF_FACTOR
-
-    def _log(self, at: float, url: str, params: dict | None, status: int | None) -> None:
-        with self._log_lock:
-            self.request_log.append(
-                RequestRecord(at=at, url=canonical_url(url, params), status=status)
-            )
 
 
 def open_session(

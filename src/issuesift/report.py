@@ -8,6 +8,7 @@ files, which golden tests rely on.
 from __future__ import annotations
 
 import csv
+import os
 
 from .errors import IoFailure
 from .pipeline import OMISSION_REASONS, ClassifiedRecord, OmittedIssue, RunSummary
@@ -17,17 +18,29 @@ OMITTED_COLUMNS = ("id", "html_url", "api_url", "reason")
 
 
 def _write_csv(path, header, rows) -> int:
-    # Rows go straight to the file: no copy of the whole CSV is built in memory.
+    # Rows go straight to disk: no copy of the whole CSV is built in memory. A
+    # regular or new file is written through a temp file beside it that
+    # replaces it once every row is in, so a failed write leaves the old file
+    # as it was; anything else, such as /dev/stdout, is written in place.
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    temp = path if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
     count = 0
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
             writer.writerow(header)
             for row in rows:
                 writer.writerow(row)
                 count += 1
+        if not in_place:
+            os.replace(temp, target)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        if not in_place and os.path.exists(temp):
+            os.remove(temp)
     return count
 
 

@@ -1,23 +1,25 @@
 """Turns raw GitHub comment markdown into classifier-ready token lines.
 
-Code spans, URLs, @-mentions, and quoted spans collapse to uppercase
-placeholder tokens; the result is split on newlines, normalized, and run
-through a stop-word filter. Everything here is a pure function of
-(input, config), so callers may parallelize freely.
+Code spans, URLs, @-mentions, and quoted spans collapse to the fixed
+placeholder tokens CODE, URL, SCREEN_NAME and QUOTE, which any model trained
+on the cleaned text relies on; the result is split on newlines, normalized,
+and run through the configured stop-word filter. Everything here is a pure
+function of (input, config), so callers may parallelize freely.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-DEFAULT_MENTION_TOKEN = "SCREEN_NAME"
-DEFAULT_URL_TOKEN = "URL"
-DEFAULT_QUOTE_TOKEN = "QUOTE"
-DEFAULT_CODE_TOKEN = "CODE"
+CODE_TOKEN = "CODE"
+URL_TOKEN = "URL"
+SCREEN_NAME_TOKEN = "SCREEN_NAME"
+QUOTE_TOKEN = "QUOTE"
+PLACEHOLDERS = frozenset((CODE_TOKEN, URL_TOKEN, SCREEN_NAME_TOKEN, QUOTE_TOKEN))
 
 # Replacement precedence is code > url > mention > quote: each stage runs
 # over the whole body before the next, so earlier replacements mask their
@@ -47,40 +49,19 @@ _EDGE_KEEP = frozenset("/#_")
 
 @dataclass(frozen=True)
 class PrepConfig:
-    """Immutable preprocessing configuration."""
+    """Immutable preprocessing configuration: the stop words to drop."""
 
     stop_words: frozenset[str]
-    custom_stop_words: frozenset[str] = frozenset()
-    mention_token: str = DEFAULT_MENTION_TOKEN
-    url_token: str = DEFAULT_URL_TOKEN
-    quote_token: str = DEFAULT_QUOTE_TOKEN
-    code_token: str = DEFAULT_CODE_TOKEN
-    # Derived from the fields above once, at construction: the per-line hot
-    # path reads them for every token. Excluded from equality and hashing.
-    placeholders: frozenset[str] = field(init=False, compare=False, repr=False)
-    all_stop_words: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, token in (
-            ("mention_token", self.mention_token),
-            ("url_token", self.url_token),
-            ("quote_token", self.quote_token),
-            ("code_token", self.code_token),
-        ):
-            if not token or token != token.upper():
-                raise ValueError(f"{name} must be a non-empty uppercase string, got {token!r}")
-            # Verbatim check: stop lists are lowercase words, so "code" in the
-            # stops is fine — the removal step exempts placeholder tokens.
-            if token in self.stop_words or token in self.custom_stop_words:
-                raise ValueError(f"{name} {token!r} collides with a stop word")
-        placeholders = (self.mention_token, self.url_token, self.quote_token, self.code_token)
-        object.__setattr__(self, "placeholders", frozenset(placeholders))
-        object.__setattr__(self, "all_stop_words", self.stop_words | self.custom_stop_words)
+        # Stop lists are lowercase words, so "code" is fine: removal exempts placeholders.
+        if not PLACEHOLDERS.isdisjoint(self.stop_words):
+            raise ValueError(f"stop words {sorted(PLACEHOLDERS & self.stop_words)} are placeholder tokens")
 
     @classmethod
-    def default(cls, custom_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":
-        """Config backed by the vendored English stop-word list."""
-        return cls(stop_words=default_stop_words(), custom_stop_words=frozenset(custom_stop_words))
+    def default(cls, extra_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":
+        """Config backed by the vendored English stop-word list plus any extra words."""
+        return cls(stop_words=default_stop_words().union(extra_stop_words))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,26 +104,26 @@ def default_stop_words() -> frozenset[str]:
     )
 
 
-def _replace_once(text: str, config: PrepConfig) -> str:
+def _replace_once(text: str) -> str:
     # A stage whose trigger character is absent cannot match, so its sub
     # would return the text unchanged; skipping it keeps the precedence.
     if "`" in text:
-        text = _FENCED_CODE_RE.sub(config.code_token, text)
-        text = _DOUBLE_TICK_RE.sub(config.code_token, text)
-        text = _INLINE_CODE_RE.sub(config.code_token, text)
-        text = _DANGLING_TICK_RE.sub(config.code_token, text)
+        text = _FENCED_CODE_RE.sub(CODE_TOKEN, text)
+        text = _DOUBLE_TICK_RE.sub(CODE_TOKEN, text)
+        text = _INLINE_CODE_RE.sub(CODE_TOKEN, text)
+        text = _DANGLING_TICK_RE.sub(CODE_TOKEN, text)
     if "://" in text:
-        text = _URL_RE.sub(config.url_token, text)
+        text = _URL_RE.sub(URL_TOKEN, text)
     if "@" in text:
-        text = _MENTION_RE.sub(config.mention_token, text)
+        text = _MENTION_RE.sub(SCREEN_NAME_TOKEN, text)
     if '"' in text:
-        text = _DQUOTE_RE.sub(config.quote_token, text)
+        text = _DQUOTE_RE.sub(QUOTE_TOKEN, text)
     if "'" in text:
-        text = _SQUOTE_RE.sub(config.quote_token, text)
+        text = _SQUOTE_RE.sub(QUOTE_TOKEN, text)
     return text
 
 
-def replace_tokens(body: str, config: PrepConfig | None = None) -> str:
+def replace_tokens(body: str) -> str:
     """Collapse code spans, URLs, mentions, and quoted spans to placeholders.
 
     The rule set is re-applied until the text stops changing (at most a couple
@@ -151,10 +132,9 @@ def replace_tokens(body: str, config: PrepConfig | None = None) -> str:
     mention-shaped string and must itself be replaced. Iterating to the fixed
     point makes the whole operation idempotent.
     """
-    config = config or PrepConfig.default()
     text = body
     for _ in range(4):
-        replaced = _replace_once(text, config)
+        replaced = _replace_once(text)
         if replaced == text:
             break
         text = replaced
@@ -180,15 +160,14 @@ def _strip_edges(token: str) -> str:
     return token[start:end]
 
 
-def normalize(line: str, config: PrepConfig | None = None) -> list[str]:
+def normalize(line: str) -> list[str]:
     """Whitespace-split and lowercase a line, stripping edge punctuation.
 
     Interior apostrophes, periods, `/`, `#`, and `_` survive, so tokens like
     "tf.function", "don't", and "issues/27120" come through intact.
     Placeholder tokens are kept verbatim.
     """
-    config = config or PrepConfig.default()
-    placeholders = config.placeholders
+    placeholders = PLACEHOLDERS  # a local: read once per token
     out = []
     for token in line.split():
         # Most tokens already start and end on a kept character.
@@ -204,9 +183,9 @@ def normalize(line: str, config: PrepConfig | None = None) -> list[str]:
 
 
 def remove_stop_words(tokens: list[str], config: PrepConfig) -> list[str]:
-    """Drop tokens on the configured stop lists; placeholders are never dropped."""
-    stops = config.all_stop_words
-    placeholders = config.placeholders
+    """Drop tokens on the configured stop list; placeholders are never dropped."""
+    stops = config.stop_words
+    placeholders = PLACEHOLDERS
     return [t for t in tokens if t in placeholders or t.lower() not in stops]
 
 
@@ -219,8 +198,8 @@ def preprocess_comment(comment, config: PrepConfig | None = None) -> list[Proces
     """
     config = config or PrepConfig.default()
     lines = []
-    for raw_line in split_lines(replace_tokens(comment.body, config)):
-        tokens = remove_stop_words(normalize(raw_line, config), config)
+    for raw_line in split_lines(replace_tokens(comment.body)):
+        tokens = remove_stop_words(normalize(raw_line), config)
         if not tokens:
             continue
         lines.append(

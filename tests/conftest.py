@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from issuesift.github_client import TransportReply
+from issuesift.github_client import TransportReply, canonical_url
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURE_SMALL = TESTS_DIR / "fixtures" / "tf_function_small"
@@ -50,6 +50,19 @@ class ScriptedTransport:
         if isinstance(reply, Exception):
             raise reply
         return reply
+
+
+class ClockedTransport:
+    """Passes requests to ``inner`` and records (clock time, canonical URL) of each."""
+
+    def __init__(self, inner, clock):
+        self.inner = inner
+        self.clock = clock
+        self.requests: list[tuple[float, str]] = []
+
+    def request(self, method, url, params=None):
+        self.requests.append((self.clock(), canonical_url(url, params)))
+        return self.inner.request(method, url, params)
 
 
 def reply(status: int = 200, payload=None, headers: dict | None = None) -> TransportReply:

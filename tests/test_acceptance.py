@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import FakeClock, FIXTURE_SMALL, GOLDEN_DIR
+from conftest import ClockedTransport, FakeClock, FIXTURE_SMALL, GOLDEN_DIR
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 from test_classifier import oracle_argmax, oracle_log_posteriors
 
@@ -30,7 +30,7 @@ from issuesift.classifier import (
     train_baseline,
 )
 from issuesift.cli import main
-from issuesift.github_client import GITHUB_API, RawComment, open_session
+from issuesift.github_client import GITHUB_API, RawComment, ReplayTransport, open_session
 from issuesift.pipeline import QuerySpec, run
 from issuesift.text_prep import PrepConfig, preprocess_comment, replace_tokens
 
@@ -150,8 +150,8 @@ def test_c4_tokenizer_properties():
     rng = random.Random(7003)
     for _ in range(10_000):
         text = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(0, 20)))
-        once = replace_tokens(text, PREP)
-        assert replace_tokens(once, PREP) == once, f"not idempotent for {text!r}"
+        once = replace_tokens(text)
+        assert replace_tokens(once) == once, f"not idempotent for {text!r}"
         comment = RawComment(issue_id=1, comment_id=1, author_login="u",
                              body=text, created_at="t")
         rendered = "\n".join(l.rendered for l in preprocess_comment(comment, PREP))
@@ -167,13 +167,14 @@ def test_c5_rate_limiter(tmp_path):
     issue = make_issue(10, 1, title="busy", comments=0)
     fixture = write_fixture(tmp_path / "throttle", query="busy", issues=[issue])
     clock = FakeClock()
+    transport = ClockedTransport(ReplayTransport(fixture), clock.time)
     session = open_session(
-        "token", mode="replay", fixture_dir=fixture,
+        "token", mode="replay", transport=transport,
         clock=clock.time, sleep=clock.sleep, search_per_minute=30,
     )
     for _ in range(100):
         session.search_issues("busy", limit=1)
-    times = sorted(record.at for record in session.request_log)
+    times = sorted(at for at, _ in transport.requests)
     assert len(times) == 100
     for anchor in times:
         in_window = [t for t in times if anchor <= t < anchor + 60.0]
@@ -186,11 +187,12 @@ def test_c5_rate_limiter(tmp_path):
     writer.add(url, {"total_count": 0, "items": []})
     writer.write_manifest()
     clock2 = FakeClock()
-    session2 = open_session(None, mode="replay", fixture_dir=tmp_path / "retry",
+    transport2 = ClockedTransport(ReplayTransport(tmp_path / "retry"), clock2.time)
+    session2 = open_session(None, mode="replay", transport=transport2,
                             clock=clock2.time, sleep=clock2.sleep)
     started = clock2.time()
     session2.search_issues("limited", limit=5)
-    dispatches = [r.at for r in session2.request_log]
+    dispatches = [at for at, _ in transport2.requests]
     assert len(dispatches) == 2
     assert dispatches[1] - dispatches[0] >= 7.0
     assert clock2.time() - started >= 7.0

@@ -19,11 +19,11 @@ class TestParseArgs:
         assert config.spec.order == "desc"
         assert config.spec.strict_match is True
         assert config.spec.min_comments == 1
-        assert config.output_path == "results.csv"
-        assert config.omitted_path == "omitted.csv"
+        assert config.flags.output == "results.csv"
+        assert config.flags.omitted_output == "omitted.csv"
         assert config.token is None
-        assert config.interactive is False
-        assert config.include_confidence is False
+        assert config.flags.interactive is False
+        assert config.flags.confidence is False
 
     def test_limit_cap_accepted(self):
         config = parse_args(["--query", "tf.function", "--limit", "1000"], {})

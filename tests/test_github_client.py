@@ -6,7 +6,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeClock, ScriptedTransport, rate_limit_payload, reply
+from conftest import ClockedTransport, FakeClock, ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift.errors import (
@@ -23,6 +23,7 @@ from issuesift.github_client import (
     MAX_HEADER_WAIT,
     LiveTransport,
     RateGate,
+    ReplayTransport,
     _TransientFailure,
     canonical_url,
     open_session,
@@ -146,10 +147,11 @@ class TestSearchIssues:
         issues = [make_issue(10, 1, comments=0)]
         fixture = write_fixture(tmp_path / "fx", query="q", issues=issues,
                                 sort="comments", order="asc")
-        session = replay_session(fixture)
+        transport = ClockedTransport(ReplayTransport(fixture), FakeClock().time)
+        session = open_session(None, mode="replay", transport=transport)
         hits = session.search_issues("q", limit=5, sort="comments", order="asc")
         assert [h.id for h in hits] == [10]
-        assert "sort=comments" in session.request_log[0].url
+        assert "sort=comments" in transport.requests[0][1]
 
     def test_query_rejected_maps_422(self, tmp_path):
         writer = FixtureWriter(tmp_path / "fx")
@@ -260,7 +262,7 @@ class TestRetryPolicy:
 
     @pytest.mark.parametrize("failure, raised", [
         (_TransientFailure("timed out"), NetworkFailure),
-        (reply(403), RateLimited),
+        (reply(403, {"message": "API rate limit exceeded"}), RateLimited),
         (reply(429), RateLimited),
         (reply(500), NetworkFailure),
     ], ids=["transport", "403", "429", "500"])
@@ -270,6 +272,14 @@ class TestRetryPolicy:
             session.search_issues("q", limit=5)
         assert len(transport.requests) == 6  # probe + 1 initial + 4 retries
         assert len(fake_clock.sleeps) == 4
+
+    def test_bare_403_not_retried(self, fake_clock):
+        replies = [reply(403, {"message": "Resource not accessible by integration"})]
+        session, transport = self._session(replies, fake_clock)
+        with pytest.raises(NetworkFailure, match="unexpected status 403"):
+            session.search_issues("q", limit=5)
+        assert len(transport.requests) == 2  # probe + single attempt
+        assert fake_clock.sleeps == []
 
     def test_plain_4xx_never_retried(self, fake_clock):
         session, transport = self._session([reply(400)], fake_clock)
@@ -350,9 +360,16 @@ class TestRetryPolicy:
             pass
         assert all(math.isfinite(s) and 0 <= s <= MAX_HEADER_WAIT for s in clock.sleeps)
 
-    @pytest.mark.parametrize("items", [None, {"id": 1}, "items"])
-    def test_non_list_search_items_rejected(self, fake_clock, items):
-        session, _ = self._session([reply(200, {"total_count": 1, "items": items})], fake_clock)
+    @pytest.mark.parametrize("page", [
+        {"total_count": 1, "items": None},
+        {"total_count": 1, "items": {"id": 1}},
+        {"total_count": 1, "items": "items"},
+        [],
+        "x",
+        {"message": "oops"},
+    ], ids=["None", "items1", "items", "page-list", "page-string", "page-without-items"])
+    def test_non_list_search_items_rejected(self, fake_clock, page):
+        session, _ = self._session([reply(200, page)], fake_clock)
         with pytest.raises(NetworkFailure):
             session.search_issues("q", limit=5)
 

@@ -1,6 +1,9 @@
 import csv
 import io
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -101,6 +104,41 @@ class TestWriteResults:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoFailure):
             write_results([], tmp_path)  # directory, not file
+
+
+class TestReplaceOnSuccess:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results([record("old row")], path)
+        before = path.read_bytes()
+
+        def records_then_disk_error():
+            yield record("new row")
+            raise OSError("disk full")
+
+        with pytest.raises(IoFailure, match="disk full"):
+            write_results(records_then_disk_error(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_omitted([], link)
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == "id,html_url,api_url,reason\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "omitted.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_omitted([], fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"id,html_url,api_url,reason\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def ref_write_results(records, path, include_confidence=False):
