@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
-import requests
-
 from .errors import (
     FixtureNotFound,
     InvalidToken,
@@ -51,6 +49,10 @@ BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.2
 MAX_HEADER_WAIT = 3600.0  # GitHub's longest rate window
+# A rate-limit reply with neither a usable retry-after nor a reset time waits at
+# least a minute before the retry, as GitHub asks for secondary limits:
+# https://docs.github.com/en/rest/using-the-rest-api/rate-limits-for-the-rest-api
+SECONDARY_LIMIT_WAIT = 60.0
 REQUEST_TIMEOUT = 30.0
 
 SORT_KEYS = ("best-match", "comments", "created", "updated", "reactions")
@@ -130,9 +132,16 @@ def canonical_url(url: str, params: dict | None = None) -> str:
 
 
 class LiveTransport:
-    """Thin wrapper over a requests.Session with the standard GitHub headers."""
+    """Thin wrapper over a requests.Session with the standard GitHub headers.
+
+    ``requests`` is imported here, not at module top, so library import and
+    replay runs never load the HTTP stack.
+    """
 
     def __init__(self, token: str | None):
+        import requests
+
+        self._errors = requests.RequestException
         self._session = requests.Session()
         self._session.headers.update(
             {
@@ -146,7 +155,7 @@ class LiveTransport:
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
         try:
             response = self._session.request(method, url, params=params, timeout=REQUEST_TIMEOUT)
-        except requests.RequestException as exc:
+        except self._errors as exc:
             raise _TransientFailure(str(exc)) from exc
         headers = {k.lower(): v for k, v in response.headers.items()}
         return TransportReply(status=response.status_code, headers=headers, body=response.content)
@@ -413,6 +422,7 @@ class Session:
         delay = BACKOFF_BASE
         for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
+            least = 0.0  # the shortest wait allowed when no header sets one
             try:
                 reply = self._transport.request("GET", url, params)
             except _TransientFailure as exc:
@@ -446,6 +456,7 @@ class Session:
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
                     retry_after = _header_wait(headers.get("retry-after"))
                     wait = reset if retry_after is None else retry_after
+                    least = SECONDARY_LIMIT_WAIT
                 elif 500 <= status < 600:
                     failure = NetworkFailure(f"{url} answered {status} after {retries} retries")
                 else:
@@ -453,7 +464,7 @@ class Session:
             if retries == MAX_RETRIES:
                 raise failure from cause
             if wait is None:
-                wait = delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER))
+                wait = max(least, delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
             self._sleep(wait)
             delay *= BACKOFF_FACTOR
 

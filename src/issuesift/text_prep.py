@@ -57,6 +57,8 @@ class PrepConfig:
         # Stop lists are lowercase words, so "code" is fine: removal exempts placeholders.
         if not PLACEHOLDERS.isdisjoint(self.stop_words):
             raise ValueError(f"stop words {sorted(PLACEHOLDERS & self.stop_words)} are placeholder tokens")
+        # remove_stop_words compares lowercased tokens, so an uppercase stop word must be lowered too.
+        object.__setattr__(self, "stop_words", frozenset(w.lower() for w in self.stop_words))
 
     @classmethod
     def default(cls, extra_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":

@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -9,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import ClockedTransport, FakeClock, ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
+import issuesift
 from issuesift.errors import (
     FixtureNotFound,
     GitHubError,
@@ -21,6 +28,8 @@ from issuesift.errors import (
 from issuesift.github_client import (
     GITHUB_API,
     MAX_HEADER_WAIT,
+    REQUEST_TIMEOUT,
+    SECONDARY_LIMIT_WAIT,
     LiveTransport,
     RateGate,
     ReplayTransport,
@@ -299,9 +308,9 @@ class TestRetryPolicy:
 
     @pytest.mark.parametrize("value, low, high", [
         ("1e9", MAX_HEADER_WAIT, MAX_HEADER_WAIT),  # capped at one hour
-        ("inf", 0.8, 1.2),  # not a finite number: 1s backoff +/- 20% jitter
-        ("-inf", 0.8, 1.2),
-        ("nan", 0.8, 1.2),
+        ("inf", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),  # not a finite number: ignored
+        ("-inf", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),
+        ("nan", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),
     ])
     def test_retry_after_capped_or_ignored(self, fake_clock, value, low, high):
         replies = [
@@ -323,6 +332,17 @@ class TestRetryPolicy:
         start = fake_clock.time()
         session.search_issues("q", limit=5)
         assert fake_clock.time() - start >= 10
+
+    @pytest.mark.parametrize("limited", [
+        reply(403, {"message": "You have exceeded a secondary rate limit"}),
+        reply(429),
+    ], ids=["403-body", "429-bare"])
+    def test_rate_limit_without_wait_header_waits_a_minute(self, fake_clock, limited):
+        session, _ = self._session([limited] * 5, fake_clock)
+        with pytest.raises(RateLimited, match="after 4 retries"):
+            session.search_issues("q", limit=5)
+        assert len(fake_clock.sleeps) == 4
+        assert all(SECONDARY_LIMIT_WAIT <= s <= MAX_HEADER_WAIT for s in fake_clock.sleeps)
 
     def test_rate_limited_without_waiting(self, fake_clock):
         replies = [reply(403, {}, headers={"Retry-After": "7"})]
@@ -444,6 +464,71 @@ class TestLiveTransportHeaders:
 
     def test_anonymous_has_no_credential(self):
         assert "Authorization" not in LiveTransport(None)._session.headers
+
+
+class TestLiveTransportErrors:
+    """A requests error inside the real LiveTransport is a transient, retried failure."""
+
+    def _session(self, monkeypatch, fake_clock, outcomes):
+        calls = []
+
+        def scripted(self, method, url, **kwargs):
+            calls.append(kwargs)
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(requests.Session, "request", scripted)
+        session = open_session("t", mode="live", clock=fake_clock.time, sleep=fake_clock.sleep)
+        return session, calls
+
+    @staticmethod
+    def _response(payload):
+        return SimpleNamespace(status_code=200, headers={}, content=json.dumps(payload).encode())
+
+    def test_connection_error_retried_then_gives_up(self, monkeypatch, fake_clock):
+        outcomes = [self._response(rate_limit_payload())]
+        outcomes += [requests.ConnectionError("connection refused")] * 5
+        session, calls = self._session(monkeypatch, fake_clock, outcomes)
+        with pytest.raises(NetworkFailure, match="after 4 retries"):
+            session.search_issues("q", limit=5)
+        assert len(calls) == 6  # probe + 1 initial + 4 retries
+        assert len(fake_clock.sleeps) == 4
+        assert all(call["timeout"] == REQUEST_TIMEOUT for call in calls)
+
+    def test_one_connection_error_then_success(self, monkeypatch, fake_clock):
+        outcomes = [
+            self._response(rate_limit_payload()),
+            requests.ConnectionError("connection reset"),
+            self._response({"total_count": 0, "items": []}),
+        ]
+        session, calls = self._session(monkeypatch, fake_clock, outcomes)
+        assert session.search_issues("q", limit=5) == []
+        assert len(calls) == 3
+        assert len(fake_clock.sleeps) == 1
+
+
+class TestHttpStackOnlyForLiveRuns:
+    def test_offline_run_never_imports_requests(self, small_fixture_dir):
+        script = textwrap.dedent(f"""
+            import sys
+            import issuesift, issuesift.cli
+            from issuesift import PrepConfig, QuerySpec, load_default_model, open_session, run
+            session = open_session(None, mode="replay", fixture_dir={str(small_fixture_dir)!r})
+            records, _, _ = run(QuerySpec(query="tf.function"), session,
+                                load_default_model(), PrepConfig.default())
+            assert records, "the replay run classified nothing"
+            assert "requests" not in sys.modules, "an offline run imported requests"
+            from issuesift.github_client import LiveTransport
+            LiveTransport(None)
+            assert "requests" in sys.modules, "LiveTransport did not import requests"
+        """)
+        src = str(Path(issuesift.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestCanonicalUrl:

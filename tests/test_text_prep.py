@@ -113,6 +113,10 @@ class TestRemoveStopWords:
         cfg = PrepConfig.default(frozenset({"nit"}))
         assert remove_stop_words(["the", "nit", "fix"], cfg) == ["fix"]
 
+    def test_uppercase_stop_word_matches_any_case(self):
+        cfg = PrepConfig.default(frozenset({"LGTM"}))
+        assert remove_stop_words(["lgtm", "LGTM", "fix"], cfg) == ["fix"]
+
 
 class TestPreprocessComment:
     def test_composition(self):
