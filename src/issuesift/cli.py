@@ -3,9 +3,8 @@
 Batch mode takes everything from flags and never prompts, so it is safe in
 scripts and CI. Interactive mode builds the query through a prompt loop.
 Diagnostics go to stderr; only progress lines and the run summary go to
-stdout. Exit codes: 0 success (omissions included), 1 usage (an unknown
-category included) or abort, 2 authentication/query/API failure (a malformed
-payload included), 3 local I/O failure (a malformed fixture included).
+stdout. Exit codes (0 success, 1 usage or abort, 2 GitHub, 3 local I/O) are
+declared on each error type in ``errors.py``; ``main`` reports them all alike.
 """
 
 from __future__ import annotations
@@ -14,23 +13,10 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import pipeline, report
 from .classifier import Taxonomy, load_default_model, load_model
-from .errors import (
-    Aborted,
-    FixtureNotFound,
-    InvalidToken,
-    IoFailure,
-    IssueSiftError,
-    ModelError,
-    NetworkFailure,
-    QueryRejected,
-    RateLimited,
-    UnknownCategory,
-    UsageError,
-)
+from .errors import Aborted, IoFailure, IssueSiftError, UsageError
 from .github_client import SEARCH_LIMIT_CAP, SORT_KEYS, SORT_ORDERS, check_search, open_session
 from .pipeline import QuerySpec
 from .text_prep import PrepConfig
@@ -109,7 +95,7 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         raise UsageError("--interactive and --query are mutually exclusive")
     if not args.interactive and args.query is None:
         raise UsageError("either --query or --interactive is required")
-    if Path(args.output).resolve() == Path(args.omitted_output).resolve():
+    if os.path.realpath(args.output) == os.path.realpath(args.omitted_output):
         raise UsageError("--output and --omitted-output must differ")
     if args.interactive:
         # The prompts answer the query, limit and categories; check the other flags
@@ -147,113 +133,106 @@ def _query_spec(flags: argparse.Namespace, **answers) -> QuerySpec:
         raise UsageError(names + colon + detail) from None
 
 
-def _ask(stdin, stdout, prompt: str) -> str:
-    stdout.write(prompt)
-    stdout.flush()
-    line = stdin.readline()
-    if line == "":
-        raise Aborted("end of input")
-    return line.strip()
+def _say(stdout, text: str) -> None:
+    """Write and flush, so a closed stdout fails here as a local I/O failure."""
+    try:
+        stdout.write(text)
+        stdout.flush()
+    except OSError as exc:
+        raise IoFailure(f"cannot write to stdout: {exc}") from None
 
 
-def _ask_categories(stdin, stdout, taxonomy: Taxonomy, label: str) -> frozenset[str]:
-    stdout.write(f"{label} — pick numbers separated by commas, empty for none:\n")
-    for i, name in enumerate(taxonomy, start=1):
-        stdout.write(f"  {i}. {name}\n")
-    names = list(taxonomy)
+def _ask(stdin, stdout, prompt: str, parse):
+    """Prompt until ``parse`` accepts the answer and return what it returns.
+
+    A ValueError from ``parse`` is shown and the prompt repeats; end of input or
+    Ctrl-C raises Aborted.
+    """
     while True:
-        answer = _ask(stdin, stdout, "> ")
-        if not answer:
-            return frozenset()
-        chosen = set()
-        bad = None
-        for part in answer.split(","):
-            part = part.strip()
-            if part.isdigit() and 1 <= int(part) <= len(names):
-                chosen.add(names[int(part) - 1])
-            elif part in names:
-                chosen.add(part)
-            else:
-                bad = part
-                break
-        if bad is None:
-            return frozenset(chosen)
-        stdout.write(f"'{bad}' is not a category number or name, try again.\n")
+        _say(stdout, prompt)
+        try:
+            line = stdin.readline()
+        except KeyboardInterrupt:
+            raise Aborted("interrupted") from None
+        if line == "":
+            raise Aborted("end of input")
+        try:
+            return parse(line.strip())
+        except ValueError as exc:
+            _say(stdout, f"{exc}\n")
+
+
+def _menu(label: str, names) -> str:
+    return "\n".join([label, *(f"  {i}. {name}" for i, name in enumerate(names, start=1))])
+
+
+def _pick(names, answer: str, error: str) -> str:
+    """The entry of ``names`` that ``answer`` gives by 1-based number or by name."""
+    if answer.isdigit() and 1 <= int(answer) <= len(names):
+        return names[int(answer) - 1]
+    if answer in names:
+        return answer
+    raise ValueError(error)
+
+
+def _ask_categories(stdin, stdout, names, label: str, exclude=frozenset()) -> frozenset[str]:
+    """Categories picked from a numbered menu; a pick that meets ``exclude`` is asked again."""
+    menu = _menu(f"{label} — pick numbers separated by commas, empty for none:", names)
+
+    def parse(answer):
+        parts = map(str.strip, answer.split(",")) if answer else ()
+        chosen = frozenset(
+            _pick(names, part, f"'{part}' is not a category number or name, try again.")
+            for part in parts
+        )
+        if chosen & exclude:
+            raise ValueError(f"Cannot both require and forbid: {sorted(chosen & exclude)}.\n{menu}")
+        return chosen
+
+    _say(stdout, menu + "\n")
+    return _ask(stdin, stdout, "> ", parse)
 
 
 def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Namespace) -> QuerySpec:
-    """Prompt loop building a QuerySpec; raises Aborted on cancel or EOF.
+    """Prompt loop building a QuerySpec; raises Aborted on cancel, EOF or Ctrl-C.
 
     Fields without a prompt come from ``flags``.
     """
-    query = ""
-    while not query:
-        query = _ask(stdin, stdout, "Query string: ")
-        if not query:
-            stdout.write("The query cannot be empty.\n")
+    def parse_query(answer):
+        if not answer:
+            raise ValueError("The query cannot be empty.")
+        return answer
 
-    limit = None
-    while limit is None:
-        answer = _ask(stdin, stdout, f"Issue limit (1-{SEARCH_LIMIT_CAP}) [{DEFAULT_LIMIT}]: ")
+    def parse_limit(answer):
         try:
             limit = int(answer) if answer else DEFAULT_LIMIT
             check_search(query, limit, "best-match", "desc")
         except ValueError:
-            limit = None
-            stdout.write(f"The limit must be a number between 1 and {SEARCH_LIMIT_CAP}.\n")
+            raise ValueError(f"The limit must be a number between 1 and {SEARCH_LIMIT_CAP}.") from None
+        return limit
 
-    stdout.write("Sort criterion:\n")
-    for i, key in enumerate(SORT_KEYS, start=1):
-        stdout.write(f"  {i}. {key}\n")
-    sort = None
-    while sort is None:
-        answer = _ask(stdin, stdout, "Sort [best-match]: ")
-        if not answer:
-            sort = "best-match"
-        elif answer.isdigit() and 1 <= int(answer) <= len(SORT_KEYS):
-            sort = SORT_KEYS[int(answer) - 1]
-        elif answer in SORT_KEYS:
-            sort = answer
-        else:
-            stdout.write(f"Pick one of {', '.join(SORT_KEYS)}.\n")
+    def parse_order(answer):
+        if (answer or "desc") not in SORT_ORDERS:
+            raise ValueError("Order must be 'asc' or 'desc'.")
+        return answer or "desc"
 
-    order = None
-    while order is None:
-        answer = _ask(stdin, stdout, "Order (asc/desc) [desc]: ")
-        if not answer:
-            order = "desc"
-        elif answer in SORT_ORDERS:
-            order = answer
-        else:
-            stdout.write("Order must be 'asc' or 'desc'.\n")
-
-    omit = _ask_categories(stdin, stdout, taxonomy, "Omit comment categories from the output")
-    require = _ask_categories(stdin, stdout, taxonomy, "Require issues to contain these categories")
-    forbid = None
-    while forbid is None:
-        candidate = _ask_categories(stdin, stdout, taxonomy, "Drop issues containing these categories")
-        if candidate & require:
-            stdout.write(f"Cannot both require and forbid: {sorted(candidate & require)}.\n")
-        else:
-            forbid = candidate
-
-    stdout.write(
-        f"Query {query!r}, limit {limit}, sort {sort}, order {order}, "
-        f"omit {sorted(omit)}, require {sorted(require)}, forbid {sorted(forbid)}\n"
-    )
-    answer = _ask(stdin, stdout, "Run this query? [y/N]: ")
-    if answer.lower() not in ("y", "yes"):
+    query = _ask(stdin, stdout, "Query string: ", parse_query)
+    limit = _ask(stdin, stdout, f"Issue limit (1-{SEARCH_LIMIT_CAP}) [{DEFAULT_LIMIT}]: ", parse_limit)
+    _say(stdout, _menu("Sort criterion:", SORT_KEYS) + "\n")
+    sort = _ask(stdin, stdout, "Sort [best-match]: ", lambda answer: _pick(
+        SORT_KEYS, answer or "best-match", f"Pick one of {', '.join(SORT_KEYS)}."))
+    order = _ask(stdin, stdout, "Order (asc/desc) [desc]: ", parse_order)
+    names = list(taxonomy)
+    omit = _ask_categories(stdin, stdout, names, "Omit comment categories from the output")
+    require = _ask_categories(stdin, stdout, names, "Require issues to contain these categories")
+    forbid = _ask_categories(stdin, stdout, names, "Drop issues containing these categories", require)
+    _say(stdout,
+         f"Query {query!r}, limit {limit}, sort {sort}, order {order}, "
+         f"omit {sorted(omit)}, require {sorted(require)}, forbid {sorted(forbid)}\n")
+    if not _ask(stdin, stdout, "Run this query? [y/N]: ", lambda answer: answer.lower() in ("y", "yes")):
         raise Aborted("cancelled at confirmation")
-    return _query_spec(
-        flags,
-        query=query,
-        limit=limit,
-        sort=sort,
-        order=order,
-        omit_categories=omit,
-        require_categories=require,
-        forbid_categories=forbid,
-    )
+    return _query_spec(flags, query=query, limit=limit, sort=sort, order=order,
+                       omit_categories=omit, require_categories=require, forbid_categories=forbid)
 
 
 def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout=None, stderr=None) -> int:
@@ -270,33 +249,29 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
             session = open_session(config.token, mode="replay", fixture_dir=flags.fixtures)
         else:
             session = open_session(config.token, mode="live")
-        stdout.write(f"searching for {spec.query!r} (limit {spec.limit})...\n")
+        _say(stdout, f"searching for {spec.query!r} (limit {spec.limit})...\n")
         records, omitted, summary = pipeline.run(spec, session, model, PrepConfig.default())
         rows = report.write_results(records, flags.output, flags.confidence)
         report.write_omitted(omitted, flags.omitted_output)
-        stdout.write(f"wrote {rows} rows to {flags.output}, "
-                     f"{len(omitted)} omissions to {flags.omitted_output}\n\n")
-        stdout.write(report.render_summary(summary) + "\n")
+        _say(stdout, f"wrote {rows} rows to {flags.output}, "
+                     f"{len(omitted)} omissions to {flags.omitted_output}\n\n"
+                     f"{report.render_summary(summary)}\n")
         return 0
-    except (UsageError, UnknownCategory) as exc:
-        stderr.write(f"usage error: {exc}\n")
-        return 1
-    except Aborted as exc:
-        stderr.write(f"aborted: {exc}\n")
-        return 1
-    except (InvalidToken, QueryRejected, RateLimited, NetworkFailure) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except (IoFailure, FixtureNotFound, ModelError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 3
     except IssueSiftError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
+        stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_status
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:], dict(os.environ)))
+    status = main(sys.argv[1:], dict(os.environ))
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout was closed early and main has said so: send what is still
+        # buffered to devnull, so the flush at interpreter exit cannot fail
+        # again (see the SIGPIPE note in Python's signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``exit_status`` and ``label`` give the command line's exit code and stderr
+prefix for each type; a subclass inherits them unless it sets its own.
+"""
 
 
 class IssueSiftError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_status = 2
+    label = "error"
 
 
 class GitHubError(IssueSiftError):
@@ -32,9 +39,13 @@ class IssueGone(GitHubError):
 class FixtureNotFound(GitHubError):
     """Replay fixture directory missing, unreadable, or lacking a recording."""
 
+    exit_status = 3
+
 
 class ModelError(IssueSiftError):
     """Base class for classifier and model-file failures."""
+
+    exit_status = 3
 
 
 class UnsupportedVersion(ModelError):
@@ -60,14 +71,25 @@ class EmptyCategory(ModelError):
 class UnknownCategory(ModelError):
     """A category name does not exist in the active taxonomy."""
 
+    exit_status = 1
+    label = "usage error"
+
 
 class IoFailure(IssueSiftError):
-    """Reading or writing a local file failed."""
+    """Reading or writing a local file, or stdout, failed."""
+
+    exit_status = 3
 
 
 class UsageError(IssueSiftError):
     """Command line arguments were invalid or inconsistent."""
 
+    exit_status = 1
+    label = "usage error"
+
 
 class Aborted(IssueSiftError):
     """The interactive session was cancelled by the user."""
+
+    exit_status = 1
+    label = "aborted"

@@ -50,7 +50,8 @@ BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.2
 MAX_HEADER_WAIT = 3600.0  # GitHub's longest rate window
 # A rate-limit reply with neither a usable retry-after nor a reset time waits at
-# least a minute before the retry, as GitHub asks for secondary limits:
+# least a minute before the retry, and the wait doubles on each repeat (up to
+# MAX_HEADER_WAIT), as GitHub asks for secondary limits:
 # https://docs.github.com/en/rest/using-the-rest-api/rate-limits-for-the-rest-api
 SECONDARY_LIMIT_WAIT = 60.0
 REQUEST_TIMEOUT = 30.0
@@ -456,7 +457,7 @@ class Session:
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
                     retry_after = _header_wait(headers.get("retry-after"))
                     wait = reset if retry_after is None else retry_after
-                    least = SECONDARY_LIMIT_WAIT
+                    least = min(SECONDARY_LIMIT_WAIT * BACKOFF_FACTOR ** retries, MAX_HEADER_WAIT)
                 elif 500 <= status < 600:
                     failure = NetworkFailure(f"{url} answered {status} after {retries} retries")
                 else:

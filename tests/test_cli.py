@@ -1,13 +1,20 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
+import issuesift
+from issuesift import cli, errors
 from issuesift.classifier import default_taxonomy
 from issuesift.cli import interactive_session, main, parse_args
-from issuesift.errors import Aborted, UsageError
+from issuesift.errors import Aborted, IssueSiftError, UsageError
 from issuesift.github_client import GITHUB_API
+from issuesift.pipeline import QuerySpec
 
 
 class TestParseArgs:
@@ -109,6 +116,21 @@ class TestParseArgs:
 NO_FLAGS = parse_args(["--interactive"], {}).flags
 
 
+CATEGORY_LINES = (
+    "  1. Observed Bug Behavior\n"
+    "  2. Workarounds\n"
+    "  3. Motivation\n"
+    "  4. Potential New Issues & Requests\n"
+    "  5. Solution Discussion\n"
+    "  6. Action on Issue\n"
+    "  7. Contribution & Commitment\n"
+    "  8. Usage\n"
+    "  9. Bug Reproduction\n"
+    "  10. Expected Behavior\n"
+    "  11. Social Discussion\n"
+)
+
+
 def scripted(answers):
     return io.StringIO("".join(a + "\n" for a in answers))
 
@@ -150,6 +172,48 @@ class TestInteractiveSession:
         spec = interactive_session(stdin, io.StringIO(), default_taxonomy(), NO_FLAGS)
         assert spec.sort == "comments"
         assert spec.order == "asc"
+
+    def test_golden_transcript(self):
+        # A bad answer at every prompt; each is answered again until it is valid.
+        stdin = scripted(["", "tf.function", "0", "abc", "5", "x", "2", "up", "asc",
+                          "bad,1", "1", "2", "nope", "2", "3", "y"])
+        stdout = io.StringIO()
+        spec = interactive_session(stdin, stdout, default_taxonomy(), NO_FLAGS)
+        assert spec == QuerySpec(
+            query="tf.function", limit=5, sort="comments", order="asc",
+            strict_match=True, strict_scope="issue",
+            omit_categories=frozenset({"Observed Bug Behavior"}),
+            require_categories=frozenset({"Workarounds"}),
+            forbid_categories=frozenset({"Motivation"}), min_comments=1)
+        assert stdout.getvalue() == (
+            "Query string: The query cannot be empty.\n"
+            "Query string: Issue limit (1-1000) [100]: "
+            "The limit must be a number between 1 and 1000.\n"
+            "Issue limit (1-1000) [100]: The limit must be a number between 1 and 1000.\n"
+            "Issue limit (1-1000) [100]: Sort criterion:\n"
+            "  1. best-match\n"
+            "  2. comments\n"
+            "  3. created\n"
+            "  4. updated\n"
+            "  5. reactions\n"
+            "Sort [best-match]: Pick one of best-match, comments, created, updated, reactions.\n"
+            "Sort [best-match]: Order (asc/desc) [desc]: Order must be 'asc' or 'desc'.\n"
+            "Order (asc/desc) [desc]: "
+            "Omit comment categories from the output — pick numbers separated by commas,"
+            " empty for none:\n" + CATEGORY_LINES +
+            "> 'bad' is not a category number or name, try again.\n"
+            "> Require issues to contain these categories — pick numbers separated by commas,"
+            " empty for none:\n" + CATEGORY_LINES +
+            "> Drop issues containing these categories — pick numbers separated by commas,"
+            " empty for none:\n" + CATEGORY_LINES +
+            "> 'nope' is not a category number or name, try again.\n"
+            "> Cannot both require and forbid: ['Workarounds'].\n"
+            "Drop issues containing these categories — pick numbers separated by commas,"
+            " empty for none:\n" + CATEGORY_LINES +
+            "> Query 'tf.function', limit 5, sort comments, order asc,"
+            " omit ['Observed Bug Behavior'], require ['Workarounds'], forbid ['Motivation']\n"
+            "Run this query? [y/N]: "
+        )
 
     def test_bad_category_reprompts(self):
         stdout = io.StringIO()
@@ -313,6 +377,50 @@ class TestMain:
         assert code == 1
         assert not (tmp_path / "r.csv").exists()
 
+    def test_ctrl_c_at_prompt_aborts(self, small_fixture_dir, tmp_path):
+        class Interrupted:
+            def readline(self):
+                raise KeyboardInterrupt
+
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = main([
+                "--interactive", "--fixtures", str(small_fixture_dir),
+                "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+            ], {}, stdin=Interrupted(), stdout=out, stderr=err)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert (code, out.getvalue(), err.getvalue()) == (1, "Query string: ", "aborted: interrupted\n")
+
+    def test_symlink_loop_in_output_path_exit_3(self, small_fixture_dir, tmp_path):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        code, _, err = self.run_main([
+            "--query", "tf.function", "--fixtures", str(small_fixture_dir),
+            "--output", str(tmp_path / "a" / "out.csv"),
+            "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exit_3(self, small_fixture_dir, tmp_path, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(issuesift.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "PYTHONUNBUFFERED": unbuffered}
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", "from issuesift.cli import entry; entry()",
+                 "--query", "tf.function", "--fixtures", str(small_fixture_dir),
+                 "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 3
+        assert result.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
     def test_confidence_flag_adds_column(self, small_fixture_dir, tmp_path):
         results = tmp_path / "results.csv"
         code, _, _ = self.run_main([
@@ -323,6 +431,48 @@ class TestMain:
         assert code == 0
         header = results.read_text(encoding="utf-8").splitlines()[0]
         assert header.endswith(",confidence")
+
+    # Exit status and stderr prefix of every error type, as the README lists them.
+    EXIT_TABLE = {
+        "IssueSiftError": (2, "error"),
+        "GitHubError": (2, "error"),
+        "InvalidToken": (2, "error"),
+        "QueryRejected": (2, "error"),
+        "RateLimited": (2, "error"),
+        "NetworkFailure": (2, "error"),
+        "IssueGone": (2, "error"),
+        "FixtureNotFound": (3, "error"),
+        "ModelError": (3, "error"),
+        "UnsupportedVersion": (3, "error"),
+        "SchemaViolation": (3, "error"),
+        "EmptyCorpus": (3, "error"),
+        "EmptyCategory": (3, "error"),
+        "UnknownCategory": (1, "usage error"),
+        "IoFailure": (3, "error"),
+        "UsageError": (1, "usage error"),
+        "Aborted": (1, "aborted"),
+    }
+
+    def test_exit_table_covers_every_error_type(self):
+        found, todo = {IssueSiftError}, [IssueSiftError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                found.add(sub)
+                todo.append(sub)
+        assert sorted(cls.__name__ for cls in found) == sorted(self.EXIT_TABLE)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_TABLE))
+    def test_exit_status_and_stderr_line(self, monkeypatch, name):
+        cls = getattr(errors, name)
+        error = cls("field", "boom") if cls is errors.SchemaViolation else cls("boom")
+
+        def fail(argv, environment):
+            raise error
+
+        monkeypatch.setattr(cli, "parse_args", fail)
+        code, out, err = self.run_main(["--query", "x"])
+        status, prefix = self.EXIT_TABLE[name]
+        assert (code, out, err) == (status, "", f"{prefix}: {error}\n")
 
     def test_diagnostics_never_on_stdout(self):
         code, out, err = self.run_main(["--limit", "9999", "--query", "x"])

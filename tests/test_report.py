@@ -27,6 +27,11 @@ def issue_ref(issue_id=415902593, number=26104):
     )
 
 
+def read_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 def record(rendered, category="Observed Bug Behavior", issue_id=415902593,
            comment_id=100, line_index=0, confidence=0.875):
     return ClassifiedRecord(issue=issue_ref(issue_id=issue_id), comment_id=comment_id,
@@ -41,7 +46,7 @@ class TestWriteResults:
         path = tmp_path / "results.csv"
         count = write_results([record(rendered)], path)
         assert count == 1
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path)
         assert rows[0]["id"] == "415902593"
         assert rows[0]["comment_line"] == rendered
         assert rows[0]["category"] == "Observed Bug Behavior"
@@ -58,7 +63,7 @@ class TestWriteResults:
         write_results([record("hello, world")], path)
         text = path.read_text(encoding="utf-8")
         assert '"hello, world"' in text
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path)
         assert rows[0]["comment_line"] == "hello, world"
 
     def test_round_trip_recovers_fields(self, tmp_path):
@@ -69,7 +74,7 @@ class TestWriteResults:
         ]
         path = tmp_path / "results.csv"
         write_results(records, path)
-        rows = list(csv.DictReader(open(path, encoding="utf-8", newline="")))
+        rows = read_rows(path)
         assert len(rows) == 3
         for row, rec in zip(rows, records):
             assert row["id"] == str(rec.issue.id)
@@ -83,9 +88,9 @@ class TestWriteResults:
     def test_confidence_column_optional(self, tmp_path):
         path = tmp_path / "results.csv"
         write_results([record("x", confidence=0.66666)], path, include_confidence=True)
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path)
         assert rows[0]["confidence"] == "0.6667"
-        header = open(path, encoding="utf-8").readline().strip()
+        header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header.endswith(",confidence")
 
     def test_lf_line_endings(self, tmp_path):
@@ -188,7 +193,7 @@ class TestWriteOmitted:
         path = tmp_path / "omitted.csv"
         count = write_omitted([OmittedIssue(issue=issue_ref(), reason="no_strict_match")], path)
         assert count == 1
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path)
         assert rows[0]["reason"] == "no_strict_match"
         assert rows[0]["id"] == "415902593"
 
@@ -205,7 +210,7 @@ class TestWriteOmitted:
         ]
         path = tmp_path / "omitted.csv"
         write_omitted(omissions, path)
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path)
         assert [r["reason"] for r in rows] == ["no_discussion", "fetch_failed", "category_filtered"]
 
 
