@@ -21,7 +21,6 @@ from .github_client import SEARCH_LIMIT_CAP, SORT_KEYS, SORT_ORDERS, check_searc
 from .pipeline import QuerySpec
 from .text_prep import PrepConfig
 
-DEFAULT_LIMIT = 100
 DEFAULT_OUTPUT = "results.csv"
 DEFAULT_OMITTED = "omitted.csv"
 
@@ -55,12 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Search GitHub issues for a keyword and classify every comment line.",
     )
     parser.add_argument("--query", help="search string, punctuation preserved")
-    parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                        help=f"max issues to retrieve, 1-{SEARCH_LIMIT_CAP} (default {DEFAULT_LIMIT})")
-    parser.add_argument("--sort", default="best-match", choices=SORT_KEYS,
-                        help="search sort criterion (default best-match)")
-    parser.add_argument("--order", default="desc", choices=SORT_ORDERS,
-                        help="sort order (default desc)")
+    parser.add_argument("--limit", type=int, default=QuerySpec.limit,
+                        help=f"max issues to retrieve, 1-{SEARCH_LIMIT_CAP} (default {QuerySpec.limit})")
+    parser.add_argument("--sort", default=QuerySpec.sort, choices=SORT_KEYS,
+                        help=f"search sort criterion (default {QuerySpec.sort})")
+    parser.add_argument("--order", default=QuerySpec.order, choices=SORT_ORDERS,
+                        help=f"sort order (default {QuerySpec.order})")
     parser.add_argument("--model", help="path to a model file (default: bundled baseline)")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help=f"classified-results CSV path (default {DEFAULT_OUTPUT})")
@@ -74,10 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drop issues containing any line of this category (repeatable)")
     parser.add_argument("--no-strict-match", action="store_true",
                         help="skip the verbatim query-string refilter")
-    parser.add_argument("--strict-scope", default="issue", choices=pipeline.STRICT_SCOPES,
-                        help="apply the strict filter per issue or per comment (default issue)")
-    parser.add_argument("--min-comments", type=int, default=1,
-                        help="issues with fewer comments count as having no discussion (default 1)")
+    parser.add_argument("--strict-scope", default=QuerySpec.strict_scope, choices=pipeline.STRICT_SCOPES,
+                        help="apply the strict filter per issue or per comment "
+                             f"(default {QuerySpec.strict_scope})")
+    parser.add_argument("--min-comments", type=int, default=QuerySpec.min_comments,
+                        help="issues with fewer comments count as having no discussion "
+                             f"(default {QuerySpec.min_comments})")
     parser.add_argument("--token", help="GitHub token (default: env GITHUB_TOKEN)")
     parser.add_argument("--fixtures", metavar="DIR",
                         help="replay recorded responses from DIR instead of the live API")
@@ -100,7 +101,7 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
     if args.interactive:
         # The prompts answer the query, limit and categories; check the other flags
         # now, before the first prompt.
-        _query_spec(args, query="?", limit=DEFAULT_LIMIT, require_categories=frozenset())
+        _query_spec(args, query="?", limit=QuerySpec.limit, require_categories=frozenset())
     return CliConfig(
         spec=None if args.interactive else _query_spec(args),
         flags=args,
@@ -145,15 +146,12 @@ def _say(stdout, text: str) -> None:
 def _ask(stdin, stdout, prompt: str, parse):
     """Prompt until ``parse`` accepts the answer and return what it returns.
 
-    A ValueError from ``parse`` is shown and the prompt repeats; end of input or
-    Ctrl-C raises Aborted.
+    A ValueError from ``parse`` is shown and the prompt repeats; end of input
+    raises Aborted.
     """
     while True:
         _say(stdout, prompt)
-        try:
-            line = stdin.readline()
-        except KeyboardInterrupt:
-            raise Aborted("interrupted") from None
+        line = stdin.readline()
         if line == "":
             raise Aborted("end of input")
         try:
@@ -194,7 +192,7 @@ def _ask_categories(stdin, stdout, names, label: str, exclude=frozenset()) -> fr
 
 
 def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Namespace) -> QuerySpec:
-    """Prompt loop building a QuerySpec; raises Aborted on cancel, EOF or Ctrl-C.
+    """Prompt loop building a QuerySpec; raises Aborted on cancel or end of input.
 
     Fields without a prompt come from ``flags``.
     """
@@ -205,23 +203,23 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Names
 
     def parse_limit(answer):
         try:
-            limit = int(answer) if answer else DEFAULT_LIMIT
-            check_search(query, limit, "best-match", "desc")
+            limit = int(answer) if answer else QuerySpec.limit
+            check_search(query, limit, QuerySpec.sort, QuerySpec.order)
         except ValueError:
             raise ValueError(f"The limit must be a number between 1 and {SEARCH_LIMIT_CAP}.") from None
         return limit
 
     def parse_order(answer):
-        if (answer or "desc") not in SORT_ORDERS:
+        if (answer or QuerySpec.order) not in SORT_ORDERS:
             raise ValueError("Order must be 'asc' or 'desc'.")
-        return answer or "desc"
+        return answer or QuerySpec.order
 
     query = _ask(stdin, stdout, "Query string: ", parse_query)
-    limit = _ask(stdin, stdout, f"Issue limit (1-{SEARCH_LIMIT_CAP}) [{DEFAULT_LIMIT}]: ", parse_limit)
+    limit = _ask(stdin, stdout, f"Issue limit (1-{SEARCH_LIMIT_CAP}) [{QuerySpec.limit}]: ", parse_limit)
     _say(stdout, _menu("Sort criterion:", SORT_KEYS) + "\n")
-    sort = _ask(stdin, stdout, "Sort [best-match]: ", lambda answer: _pick(
-        SORT_KEYS, answer or "best-match", f"Pick one of {', '.join(SORT_KEYS)}."))
-    order = _ask(stdin, stdout, "Order (asc/desc) [desc]: ", parse_order)
+    sort = _ask(stdin, stdout, f"Sort [{QuerySpec.sort}]: ", lambda answer: _pick(
+        SORT_KEYS, answer or QuerySpec.sort, f"Pick one of {', '.join(SORT_KEYS)}."))
+    order = _ask(stdin, stdout, f"Order (asc/desc) [{QuerySpec.order}]: ", parse_order)
     names = list(taxonomy)
     omit = _ask_categories(stdin, stdout, names, "Omit comment categories from the output")
     require = _ask_categories(stdin, stdout, names, "Require issues to contain these categories")
@@ -257,9 +255,12 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
                      f"{len(omitted)} omissions to {flags.omitted_output}\n\n"
                      f"{report.render_summary(summary)}\n")
         return 0
+    except KeyboardInterrupt:  # Ctrl-C at a prompt or during the run
+        error = Aborted("interrupted")
     except IssueSiftError as exc:
-        stderr.write(f"{exc.label}: {exc}\n")
-        return exc.exit_status
+        error = exc
+    stderr.write(f"{error.label}: {error}\n")
+    return error.exit_status
 
 
 def entry() -> None:

@@ -18,6 +18,7 @@ order, so a recorded rate-limit-then-200 sequence exercises the retry path.
 from __future__ import annotations
 
 import json
+import itertools
 import math
 import random
 import threading
@@ -172,7 +173,7 @@ class ReplayTransport:
             raise FixtureNotFound(f"fixture directory {self._dir} has no manifest.json")
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise FixtureNotFound(f"unreadable fixture manifest {manifest_path}: {exc}") from exc
         self._lock = threading.Lock()
         self._entries: dict[str, deque] = {}
@@ -197,7 +198,7 @@ class ReplayTransport:
             body = (self._dir / body_name).read_bytes()
             status = meta["status"]
             headers = {str(k).lower(): str(v) for k, v in meta.get("headers", {}).items()}
-        except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, RecursionError, AttributeError, KeyError, TypeError) as exc:
             raise FixtureNotFound(f"unreadable fixture file for {key}: {exc}") from exc
         if not isinstance(status, int) or isinstance(status, bool):
             raise FixtureNotFound(f"fixture meta for {key} has a non-integer status {status!r}")
@@ -325,27 +326,15 @@ class Session:
 
     Thread-safe: all rate accounting funnels through one gate, so comment
     fetches for distinct issues may run in parallel (``parallelism`` bounds
-    how many the pipeline starts at once).
+    how many the pipeline starts at once). The gate also owns the clock, the
+    sleep and whether to wait out a rate limit.
     """
 
-    def __init__(
-        self,
-        *,
-        transport,
-        gate: RateGate,
-        clock,
-        sleep,
-        base_url: str,
-        wait_on_rate_limit: bool,
-        parallelism: int,
-    ):
+    def __init__(self, *, transport, gate: RateGate, base_url: str, parallelism: int):
         self.base_url = base_url.rstrip("/")
         self.parallelism = max(1, parallelism)
         self._transport = transport
         self._gate = gate
-        self._clock = clock
-        self._sleep = sleep
-        self._wait_on_rate_limit = wait_on_rate_limit
         self._rng = random.Random()
 
     # -- public operations -------------------------------------------------
@@ -363,63 +352,50 @@ class Session:
         ordering under the requested sort is otherwise preserved.
         """
         check_search(query, limit, sort, order)
-        url = f"{self.base_url}/search/issues"
-        results: list[IssueRef] = []
-        seen_ids: set[int] = set()
-        page = 1
-        while len(results) < limit:
-            params: dict[str, str | int] = {"q": query, "per_page": PAGE_SIZE, "page": page}
-            if sort != "best-match":
-                params["sort"] = sort
-                params["order"] = order
-            doc = self._request_json("search", url, params)
-            items = doc.get("items") if isinstance(doc, dict) else None
-            if not isinstance(items, list):
-                raise NetworkFailure(f"search endpoint returned no 'items' list for {query!r}")
-            for item in items:
-                issue = _issue_from_item(item)
-                if issue.id in seen_ids:
-                    continue
-                seen_ids.add(issue.id)
-                results.append(issue)
-                if len(results) >= limit:
-                    break
-            if len(items) < PAGE_SIZE or page * PAGE_SIZE >= SEARCH_LIMIT_CAP:
+        params = {"q": query} if sort == "best-match" else {"q": query, "sort": sort, "order": order}
+        items = self._paged_items(
+            "search", f"{self.base_url}/search/issues", params, items_key="items",
+            error=f"search endpoint returned no 'items' list for {query!r}",
+            max_pages=SEARCH_LIMIT_CAP // PAGE_SIZE,
+        )
+        results: dict[int, IssueRef] = {}
+        for item in items:
+            issue = _issue_from_item(item)
+            results.setdefault(issue.id, issue)
+            if len(results) >= limit:
                 break
-            page += 1
-        return results
+        return list(results.values())
 
     def fetch_comments(self, issue: IssueRef) -> list[RawComment]:
         """All comments of one issue, fully paginated, ascending created_at."""
         if issue.comment_count == 0:
             return []
-        comments: list[RawComment] = []
-        page = 1
-        while True:
-            items = self._request_json(
-                "core", issue.comments_url, {"per_page": PAGE_SIZE, "page": page}
-            )
-            if not isinstance(items, list):
-                raise NetworkFailure(f"comments endpoint returned a non-list for issue {issue.id}")
-            comments.extend(_comment_from_item(item, issue.id) for item in items)
-            if len(items) < PAGE_SIZE:
-                break
-            page += 1
+        items = self._paged_items("core", issue.comments_url, {},
+                                  error=f"comments endpoint returned a non-list for issue {issue.id}")
+        comments = [_comment_from_item(item, issue.id) for item in items]
         comments.sort(key=lambda c: c.created_at)  # stable: ties keep wire order
         return comments
 
     # -- request machinery --------------------------------------------------
 
-    def _request_json(self, kind: str, url: str, params: dict | None = None):
-        reply = self._request(kind, url, params)
-        try:
-            return json.loads(reply.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise NetworkFailure(f"invalid JSON from {url}: {exc}") from exc
+    def _paged_items(self, kind: str, url: str, params: dict, *, error: str,
+                     items_key: str | None = None, max_pages: int | None = None):
+        """Items of ``url``'s pages in wire order, each page requested when the caller
+        reaches it, up to a short page or page ``max_pages``. A page (or its
+        ``items_key`` member) must be a list, or NetworkFailure(``error``) is raised."""
+        for page in itertools.islice(itertools.count(1), max_pages):
+            items = self._request(kind, url, {**params, "per_page": PAGE_SIZE, "page": page})
+            if items_key is not None:
+                items = items.get(items_key) if isinstance(items, dict) else None
+            if not isinstance(items, list):
+                raise NetworkFailure(error)
+            yield from items
+            if len(items) < PAGE_SIZE:
+                return
 
-    def _request(self, kind: str, url: str, params: dict | None = None) -> TransportReply:
-        """GET with retries: each attempt returns the reply, raises at once, or names
-        the error to raise once retries run out and the wait before the next try."""
+    def _request(self, kind: str, url: str, params: dict | None = None):
+        """GET with retries, returning the decoded JSON: each attempt returns, raises at
+        once, or names the error to raise once retries run out and the wait before the next try."""
         delay = BACKOFF_BASE
         for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
@@ -435,12 +411,15 @@ class Session:
                 exhausted = headers.get("x-ratelimit-remaining") == "0"
                 if exhausted:
                     # Live response headers are authoritative over the static budgets.
-                    now = self._clock()
+                    now = self._gate._clock()
                     reset = _header_wait(headers.get("x-ratelimit-reset"), now)
                     if reset is not None:
                         self._gate.block_until(kind, now + reset)
                 if 200 <= status < 300:
-                    return reply
+                    try:
+                        return json.loads(reply.body.decode("utf-8"))
+                    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+                        raise NetworkFailure(f"invalid JSON from {url}: {exc}") from exc
                 if status == 401:
                     raise InvalidToken(f"credential rejected by {url}")
                 if status in (404, 410):
@@ -452,7 +431,7 @@ class Session:
                 if status == 429 or (status == 403 and (
                     exhausted or "retry-after" in headers or b"rate limit" in reply.body.lower()
                 )):
-                    if not self._wait_on_rate_limit:
+                    if not self._gate._wait:
                         raise RateLimited(f"{url} answered {status} and waiting is disabled")
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
                     retry_after = _header_wait(headers.get("retry-after"))
@@ -466,7 +445,7 @@ class Session:
                 raise failure from cause
             if wait is None:
                 wait = max(least, delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
-            self._sleep(wait)
+            self._gate._sleep(wait)
             delay *= BACKOFF_FACTOR
 
 
@@ -493,8 +472,6 @@ def open_session(
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
-    clock = clock or time.time
-    sleep = sleep or time.sleep
     if mode == "live":
         if transport is None:
             transport = LiveTransport(token)
@@ -508,17 +485,15 @@ def open_session(
         transport = ReplayTransport(fixture_dir)
     windows = (("search", search_per_minute, 60.0), ("core", core_per_hour, 3600.0))
     budgets = {kind: (count, window) for kind, count, window in windows if count is not None}
-    gate = RateGate(clock=clock, sleep=sleep, wait=wait_on_rate_limit, budgets=budgets)
+    gate = RateGate(clock=clock or time.time, sleep=sleep or time.sleep, wait=wait_on_rate_limit,
+                    budgets=budgets)
     session = Session(
         transport=transport,
         gate=gate,
-        clock=clock,
-        sleep=sleep,
         base_url=base_url,
-        wait_on_rate_limit=wait_on_rate_limit,
         parallelism=parallelism,
     )
     if mode == "live":
         # probe: raises InvalidToken on a bad credential
-        session._request_json("meta", f"{session.base_url}/rate_limit")
+        session._request("meta", f"{session.base_url}/rate_limit")
     return session

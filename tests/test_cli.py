@@ -13,7 +13,7 @@ from issuesift import cli, errors
 from issuesift.classifier import default_taxonomy
 from issuesift.cli import interactive_session, main, parse_args
 from issuesift.errors import Aborted, IssueSiftError, UsageError
-from issuesift.github_client import GITHUB_API
+from issuesift.github_client import GITHUB_API, ReplayTransport
 from issuesift.pipeline import QuerySpec
 
 
@@ -391,6 +391,25 @@ class TestMain:
         except KeyboardInterrupt:
             pytest.fail("KeyboardInterrupt escaped main")
         assert (code, out.getvalue(), err.getvalue()) == (1, "Query string: ", "aborted: interrupted\n")
+
+    def test_ctrl_c_during_fetch_aborts(self, small_fixture_dir, tmp_path, monkeypatch):
+        replay = ReplayTransport.request
+
+        def interrupt_comment_fetch(transport, method, url, params=None):
+            if url.endswith("/comments"):
+                raise KeyboardInterrupt
+            return replay(transport, method, url, params)
+
+        monkeypatch.setattr(ReplayTransport, "request", interrupt_comment_fetch)
+        try:
+            code, _, err = self.run_main([
+                "--query", "tf.function", "--fixtures", str(small_fixture_dir),
+                "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+            ])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert (code, err) == (1, "aborted: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_symlink_loop_in_output_path_exit_3(self, small_fixture_dir, tmp_path):
         (tmp_path / "a").symlink_to(tmp_path / "b")

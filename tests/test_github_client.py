@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -33,6 +34,7 @@ from issuesift.github_client import (
     LiveTransport,
     RateGate,
     ReplayTransport,
+    TransportReply,
     _TransientFailure,
     canonical_url,
     open_session,
@@ -103,6 +105,13 @@ class TestReplayManifest:
     def test_meta_without_integer_status(self, tmp_path, meta):
         fixture = self.fixture(tmp_path)
         (fixture / "0000.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        session = replay_session(fixture)
+        with pytest.raises(FixtureNotFound):
+            session.search_issues("q", limit=1)
+
+    def test_too_deeply_nested_meta_rejected(self, tmp_path):
+        fixture = self.fixture(tmp_path)
+        (fixture / "0000.meta.json").write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
         session = replay_session(fixture)
         with pytest.raises(FixtureNotFound):
             session.search_issues("q", limit=1)
@@ -229,6 +238,48 @@ class TestFetchComments:
         session = replay_session(fixture)
         [hit] = session.search_issues("q", limit=1)
         assert len(session.fetch_comments(hit)) == 100
+
+
+class PagedTransport:
+    """A search of ``hits`` issues and one thread of ``comments`` comments, served in
+    pages of the requested size; records the (path, page) of every request."""
+
+    def __init__(self, hits, comments):
+        self.hits = [make_issue(i + 1, i + 1) for i in range(hits)]
+        self.comments = [make_comment(i + 1, f"c{i}") for i in range(comments)]
+        self.pages: list[tuple[str, int]] = []
+
+    def request(self, method, url, params=None):
+        path, page, size = urlsplit(url).path, int(params["page"]), int(params["per_page"])
+        self.pages.append((path, page))
+        if path == "/search/issues":
+            return reply(200, {"total_count": len(self.hits),
+                               "items": self.hits[(page - 1) * size:page * size]})
+        return reply(200, self.comments[(page - 1) * size:page * size])
+
+
+class TestPageSequence:
+    THREAD = "/repos/o/r/issues/1/comments"
+
+    @pytest.mark.parametrize("hits, limit, comments, pages", [
+        (150, 100, None, [1]),
+        (150, 101, None, [1, 2]),
+        (1200, 1000, None, list(range(1, 11))),  # the search API serves 10 pages at most
+        (None, None, 0, []),
+        (None, None, 99, [1]),
+        (None, None, 100, [1, 2]),  # a full page is followed by an empty one
+        (None, None, 101, [1, 2]),
+    ], ids=["search-150-limit-100", "search-150-limit-101", "search-1200-limit-1000",
+            "thread-0", "thread-99", "thread-100", "thread-101"])
+    def test_exact_pages_requested(self, hits, limit, comments, pages):
+        transport = PagedTransport(hits or 0, comments or 0)
+        session = open_session(None, mode="replay", transport=transport)
+        if hits is not None:
+            assert len(session.search_issues("q", limit=limit)) == min(hits, limit)
+            assert transport.pages == [("/search/issues", page) for page in pages]
+        else:
+            assert len(session.fetch_comments(make_issue_ref(comment_count=comments))) == comments
+            assert transport.pages == [(self.THREAD, page) for page in pages]
 
 
 class TestReplayDeterminism:
@@ -396,6 +447,12 @@ class TestRetryPolicy:
         replies = [reply(200, {"unexpected": "shape"})]
         session, _ = self._session(replies, fake_clock)
         with pytest.raises(NetworkFailure):
+            session.fetch_comments(make_issue_ref(comment_count=2))
+
+    def test_too_deeply_nested_body_rejected(self, fake_clock):
+        nested = TransportReply(status=200, headers={}, body=b"[" * 3000 + b"]" * 3000)
+        session, _ = self._session([nested], fake_clock)
+        with pytest.raises(NetworkFailure, match="invalid JSON"):
             session.fetch_comments(make_issue_ref(comment_count=2))
 
 
