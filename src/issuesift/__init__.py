@@ -30,7 +30,7 @@ from .pipeline import (
     run,
     strict_match,
 )
-from .report import render_summary, write_omitted, write_results
+from .report import render_summary, write_omitted, write_report, write_results
 from .text_prep import (
     PrepConfig,
     ProcessedLine,
@@ -76,5 +76,6 @@ __all__ = [
     "strict_match",
     "train_baseline",
     "write_omitted",
+    "write_report",
     "write_results",
 ]

@@ -227,9 +227,11 @@ def load_model(path: str | Path) -> ModelFile:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation("document", f"not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaViolation("document", f"not valid JSON: {exc}") from None
     return _model_from_document(doc, str(path))
 
@@ -368,4 +370,6 @@ def load_corpus(path: str | Path) -> LabeledCorpus:
                 examples.append((tokens, row["category"]))
     except OSError as exc:
         raise IoFailure(f"cannot read corpus {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over csv.field_size_limit()
+        raise SchemaViolation("corpus", f"{path} is not a readable CSV: {exc}") from None
     return LabeledCorpus(tuple(examples))

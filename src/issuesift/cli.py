@@ -249,8 +249,7 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
             session = open_session(config.token, mode="live")
         _say(stdout, f"searching for {spec.query!r} (limit {spec.limit})...\n")
         records, omitted, summary = pipeline.run(spec, session, model, PrepConfig.default())
-        rows = report.write_results(records, flags.output, flags.confidence)
-        report.write_omitted(omitted, flags.omitted_output)
+        rows, _ = report.write_report(records, omitted, flags.output, flags.omitted_output, flags.confidence)
         _say(stdout, f"wrote {rows} rows to {flags.output}, "
                      f"{len(omitted)} omissions to {flags.omitted_output}\n\n"
                      f"{report.render_summary(summary)}\n")

@@ -78,19 +78,16 @@ def check_search(query: str, limit: int, sort: str, order: str) -> None:
 
 @dataclass(frozen=True)
 class IssueRef:
-    """One GitHub issue hit from search."""
+    """One GitHub issue hit from search, read from the search item's ``id``, ``title``,
+    ``body``, ``html_url``, ``url``, ``comments_url`` and ``comments``; no other key is read."""
 
     id: int
-    number: int
-    repo_full_name: str
     title: str
     body: str
     html_url: str
     api_url: str
     comments_url: str
     comment_count: int
-    created_at: str
-    updated_at: str
 
     def __post_init__(self):
         if self.id <= 0:
@@ -214,6 +211,9 @@ class RateGate:
     """
 
     def __init__(self, *, clock, sleep, wait: bool, budgets: dict[str, tuple[int, float]]):
+        for kind, (count, _) in budgets.items():
+            if count < 1:
+                raise ValueError(f"{kind} budget must allow at least 1 request per window, got {count}")
         self._clock = clock
         self._sleep = sleep
         self._wait = wait
@@ -294,16 +294,12 @@ def _issue_from_item(item) -> IssueRef:
     try:
         return IssueRef(
             id=field("id", int, required=True),
-            number=field("number", int, required=True),
-            repo_full_name=field("repository_url").partition("/repos/")[2],
             title=field("title"),
             body=field("body"),
             html_url=field("html_url"),
             api_url=field("url"),
             comments_url=field("comments_url"),
             comment_count=field("comments", int),
-            created_at=field("created_at"),
-            updated_at=field("updated_at"),
         )
     except ValueError as exc:  # IssueRef's own invariants
         raise NetworkFailure(f"search item: {exc}") from exc
@@ -487,12 +483,7 @@ def open_session(
     budgets = {kind: (count, window) for kind, count, window in windows if count is not None}
     gate = RateGate(clock=clock or time.time, sleep=sleep or time.sleep, wait=wait_on_rate_limit,
                     budgets=budgets)
-    session = Session(
-        transport=transport,
-        gate=gate,
-        base_url=base_url,
-        parallelism=parallelism,
-    )
+    session = Session(transport=transport, gate=gate, base_url=base_url, parallelism=parallelism)
     if mode == "live":
         # probe: raises InvalidToken on a bad credential
         session._request("meta", f"{session.base_url}/rate_limit")

@@ -17,67 +17,77 @@ RESULT_COLUMNS = ("id", "html_url", "api_url", "comment_id", "line_index", "comm
 OMITTED_COLUMNS = ("id", "html_url", "api_url", "reason")
 
 
-def _write_csv(path, header, rows) -> int:
-    # Rows go straight to disk: no copy of the whole CSV is built in memory. A
-    # regular or new file is written through a temp file beside it that
-    # replaces it once every row is in, so a failed write leaves the old file
-    # as it was; anything else, such as /dev/stdout, is written in place.
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    target = os.path.realpath(path)
-    head, name = os.path.split(target)
-    temp = path if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    count = 0
+def _write_tables(*tables) -> list[int]:
+    """Write each ``(path, header, rows)`` table; returns each one's data-row count.
+
+    Rows go straight to disk: no copy of a whole CSV is built in memory. Regular or
+    new files are written through temp files beside them, which replace them only
+    once every table is in, so a failed write leaves all old files as they were.
+    Anything else, such as /dev/stdout, is written in place and cannot be rolled back.
+    """
+    counts, moves = [], []  # moves: (path, temp, target) still to os.replace
     try:
-        with open(temp, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
-                count += 1
-        if not in_place:
+        for index, (path, header, rows) in enumerate(tables):
+            in_place = os.path.exists(path) and not os.path.isfile(path)
+            target = os.path.realpath(path)
+            head, name = os.path.split(target)
+            temp = path if in_place else os.path.join(head, f".{name}.{os.getpid()}.{index}.tmp")
+            if not in_place:
+                moves.append((path, temp, target))
+            count = 0
+            with open(temp, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+                writer.writerow(header)
+                for count, row in enumerate(rows, 1):
+                    writer.writerow(row)
+            counts.append(count)
+        for path, temp, target in moves:
             os.replace(temp, target)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     finally:
-        if not in_place and os.path.exists(temp):
-            os.remove(temp)
-    return count
+        for _, temp, _ in moves:
+            if os.path.exists(temp):
+                os.remove(temp)
+    return counts
 
 
-def write_results(
-    records: list[ClassifiedRecord],
-    path,
-    include_confidence: bool = False,
-) -> int:
+def _results_table(records, path, include_confidence):
+    header = RESULT_COLUMNS + ("confidence",) if include_confidence else RESULT_COLUMNS
+    def rows():
+        for r in records:
+            row = [r.issue.id, r.issue.html_url, r.issue.api_url, r.comment_id, r.line_index,
+                   r.comment_line, r.category]
+            if include_confidence:
+                row.append(f"{r.confidence:.4f}")
+            yield row
+    return path, header, rows()
+
+
+def _omitted_table(omitted, path):
+    rows = ([o.issue.id, o.issue.html_url, o.issue.api_url, o.reason] for o in omitted)
+    return path, OMITTED_COLUMNS, rows
+
+
+def write_results(records: list[ClassifiedRecord], path, include_confidence: bool = False) -> int:
     """Write the classified-results CSV; returns data rows written.
 
     Callers pass records already sorted by (id, comment_id, line_index).
     """
-    header = RESULT_COLUMNS + ("confidence",) if include_confidence else RESULT_COLUMNS
-    def rows():
-        for r in records:
-            row = [
-                r.issue.id,
-                r.issue.html_url,
-                r.issue.api_url,
-                r.comment_id,
-                r.line_index,
-                r.comment_line,
-                r.category,
-            ]
-            if include_confidence:
-                row.append(f"{r.confidence:.4f}")
-            yield row
-    return _write_csv(path, header, rows())
+    return _write_tables(_results_table(records, path, include_confidence))[0]
 
 
 def write_omitted(omitted: list[OmittedIssue], path) -> int:
     """Write the omitted-issues CSV; returns data rows written."""
-    rows = (
-        [o.issue.id, o.issue.html_url, o.issue.api_url, o.reason]
-        for o in omitted
-    )
-    return _write_csv(path, OMITTED_COLUMNS, rows)
+    return _write_tables(_omitted_table(omitted, path))[0]
+
+
+def write_report(records: list[ClassifiedRecord], omitted: list[OmittedIssue], results_path,
+                 omitted_path, include_confidence: bool = False) -> tuple[int, int]:
+    """Write the files of ``write_results`` and ``write_omitted`` as one commit: both are
+    written before either replaces its old file. Returns the data rows of each."""
+    return tuple(_write_tables(_results_table(records, results_path, include_confidence),
+                               _omitted_table(omitted, omitted_path)))
 
 
 def render_summary(summary: RunSummary) -> str:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -338,6 +339,18 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.csv"
         path.write_text("kind,words\nA,x\n", encoding="utf-8")
         with pytest.raises(SchemaViolation):
+            load_corpus(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(b"category,text\nA,caf\xe9\n")
+        with pytest.raises(SchemaViolation, match="^corpus: "):
+            load_corpus(path)
+
+    def test_field_over_csv_size_limit_rejected(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("category,text\nA," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation, match="^corpus: "):
             load_corpus(path)
 
     def test_bundled_corpus_loads(self):

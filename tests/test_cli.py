@@ -323,13 +323,30 @@ class TestMain:
 
     def test_bad_model_file_exit_3(self, small_fixture_dir, tmp_path):
         bad_model = tmp_path / "model.json"
-        bad_model.write_text("{}", encoding="utf-8")
-        code, _, err = self.run_main([
+        # no fields, not UTF-8, nested past the recursion limit
+        for content in (b"{}", b"\xff\xfe", b"[" * 100000 + b"]" * 100000):
+            bad_model.write_bytes(content)
+            code, _, err = self.run_main([
+                "--query", "tf.function", "--fixtures", str(small_fixture_dir),
+                "--model", str(bad_model),
+                "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+            ])
+            assert code == 3
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_failed_omitted_write_keeps_old_results(self, small_fixture_dir, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_bytes(b"old results\n")
+        (tmp_path / "dir").mkdir()
+        code, out, err = self.run_main([
             "--query", "tf.function", "--fixtures", str(small_fixture_dir),
-            "--model", str(bad_model),
-            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+            "--output", str(results), "--omitted-output", str(tmp_path / "dir"),
         ])
         assert code == 3
+        assert err.startswith("error: cannot write ")
+        assert "wrote" not in out
+        assert results.read_bytes() == b"old results\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "results.csv"]
 
     def test_interactive_flow_end_to_end(self, small_fixture_dir, tmp_path):
         stdin = io.StringIO("".join(a + "\n" for a in

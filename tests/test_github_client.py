@@ -79,6 +79,14 @@ class TestOpenSession:
         with pytest.raises(ValueError):
             open_session(None, mode="cached")
 
+    @pytest.mark.parametrize("budget, kind", [({"search_per_minute": 0}, "search"),
+                                              ({"core_per_hour": 0}, "core")])
+    def test_budget_below_one_rejected(self, budget, kind):
+        transport = ScriptedTransport([])
+        with pytest.raises(ValueError, match=f"^{kind} budget"):
+            open_session("token", mode="live", transport=transport, **budget)
+        assert transport.requests == []
+
 
 class TestReplayManifest:
     @staticmethod
@@ -122,7 +130,6 @@ class TestSearchIssues:
         session = replay_session(three_hit_fixture(tmp_path))
         hits = session.search_issues("tf.function", limit=1000)
         assert [h.id for h in hits] == [10, 20, 30]
-        assert hits[0].repo_full_name == "octo/widgets"
 
     def test_limit_truncates(self, tmp_path):
         session = replay_session(three_hit_fixture(tmp_path))
@@ -611,9 +618,9 @@ class TestValidation:
 def make_issue_ref(issue_id=1, comment_count=0):
     from issuesift.github_client import IssueRef
     return IssueRef(
-        id=issue_id, number=1, repo_full_name="o/r", title="t", body="",
+        id=issue_id, title="t", body="",
         html_url="https://github.com/o/r/issues/1",
         api_url="https://api.github.com/repos/o/r/issues/1",
         comments_url="https://api.github.com/repos/o/r/issues/1/comments",
-        comment_count=comment_count, created_at="", updated_at="",
+        comment_count=comment_count,
     )

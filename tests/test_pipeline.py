@@ -15,6 +15,7 @@ from issuesift.pipeline import (
     run,
     strict_match,
 )
+from issuesift.report import write_report
 from issuesift.text_prep import PrepConfig, preprocess_comment
 
 PREP = PrepConfig(stop_words=frozenset())
@@ -22,12 +23,11 @@ PREP = PrepConfig(stop_words=frozenset())
 
 def issue_ref(issue_id=1, number=1, title="", body="", comment_count=1):
     return IssueRef(
-        id=issue_id, number=number, repo_full_name="o/r", title=title, body=body,
+        id=issue_id, title=title, body=body,
         html_url=f"https://github.com/o/r/issues/{number}",
         api_url=f"{GITHUB_API}/repos/o/r/issues/{number}",
         comments_url=f"{GITHUB_API}/repos/o/r/issues/{number}/comments",
-        comment_count=comment_count, created_at="2021-01-01T00:00:00Z",
-        updated_at="2021-01-01T00:00:00Z",
+        comment_count=comment_count,
     )
 
 
@@ -370,12 +370,10 @@ class TestRun:
         {k: v for k, v in make_issue(20, 2, title="tf.function").items() if k != "id"},
         "tf.function",
         {**make_issue(20, 2, title="tf.function"), "id": True},
-        {**make_issue(20, 2, title="tf.function"), "number": "2"},
         {**make_issue(20, 2), "title": 5},
         {**make_issue(20, 2, title="tf.function"), "comments": -1},
         {**make_issue(20, 2, title="tf.function"), "comments_url": None},
-    ], ids=["no-id", "string", "bool-id", "string-number", "int-title", "negative-comments",
-            "null-comments-url"])
+    ], ids=["no-id", "string", "bool-id", "int-title", "negative-comments", "null-comments-url"])
     def test_malformed_search_item_raises_network_failure(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=0)
         transport = ScriptedTransport([
@@ -388,6 +386,24 @@ class TestRun:
         with pytest.raises(NetworkFailure):
             run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
         assert not transport.replies
+
+    @pytest.mark.parametrize("unread", [
+        {"number": "2"}, {"repository_url": 5}, {"created_at": []}, {"updated_at": {}},
+    ], ids=["string-number", "int-repository-url", "list-created-at", "dict-updated-at"])
+    def test_unread_search_item_keys_are_ignored(self, unread, tmp_path):
+        """Keys the run never reads are not type-checked: the CSVs match the well-formed item's."""
+        def csv_bytes(name, item):
+            fixture = write_fixture(tmp_path / name, query="tf.function", issues=[item],
+                                    comments_by_id={20: [make_comment(200, "tf.function fixing")]})
+            session = open_session(None, mode="replay", fixture_dir=fixture)
+            records, omitted, _ = run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
+            write_report(records, omitted, tmp_path / f"{name}-r.csv", tmp_path / f"{name}-o.csv")
+            return [(tmp_path / f"{name}-{kind}.csv").read_bytes() for kind in "ro"]
+
+        well_formed = make_issue(20, 2, title="tf.function", comments=1)
+        good = csv_bytes("good", well_formed)
+        assert good[0].endswith(b",200,0,tf.function fixing,Solution Discussion\n")
+        assert csv_bytes("odd", {**well_formed, **unread}) == good
 
 
 class TestSummaryInvariants:

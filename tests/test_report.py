@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 from issuesift.errors import IoFailure
 from issuesift.github_client import GITHUB_API, IssueRef
 from issuesift.pipeline import ClassifiedRecord, OmittedIssue, RunSummary
-from issuesift.report import RESULT_COLUMNS, render_summary, write_omitted, write_results
+from issuesift.report import RESULT_COLUMNS, render_summary, write_omitted, write_report, write_results
 
 
 def issue_ref(issue_id=415902593, number=26104):
     return IssueRef(
-        id=issue_id, number=number, repo_full_name="tensorflow/tensorflow",
-        title="t", body="",
+        id=issue_id, title="t", body="",
         html_url=f"https://github.com/tensorflow/tensorflow/issues/{number}",
         api_url=f"{GITHUB_API}/repos/tensorflow/tensorflow/issues/{number}",
         comments_url=f"{GITHUB_API}/repos/tensorflow/tensorflow/issues/{number}/comments",
-        comment_count=1, created_at="2019-02-21T18:00:00Z", updated_at="2019-02-21T18:00:00Z",
+        comment_count=1,
     )
 
 
@@ -144,6 +143,47 @@ class TestReplaceOnSuccess:
         assert not reader.is_alive()
         assert received == [b"id,html_url,api_url,reason\n"]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+class TestWriteReport:
+    def test_same_bytes_as_the_two_writers(self, tmp_path):
+        records = [record("first, line"), record("second", line_index=1)]
+        omitted = [OmittedIssue(issue=issue_ref(issue_id=5, number=5), reason="no_discussion")]
+        counts = write_report(records, omitted, tmp_path / "r.csv", tmp_path / "o.csv", True)
+        assert counts == (2, 1)
+        write_results(records, tmp_path / "r2.csv", True)
+        write_omitted(omitted, tmp_path / "o2.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+        assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "o2.csv").read_bytes()
+
+    def old_files(self, tmp_path):
+        results, omitted = tmp_path / "results.csv", tmp_path / "omitted.csv"
+        write_results([record("old row")], results)
+        write_omitted([OmittedIssue(issue=issue_ref(), reason="fetch_failed")], omitted)
+        return results, omitted, results.read_bytes(), omitted.read_bytes()
+
+    def test_omitted_path_a_directory_replaces_neither_file(self, tmp_path):
+        results, omitted, results_before, omitted_before = self.old_files(tmp_path)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IoFailure):
+            write_report([record("new row")], [], results, tmp_path / "dir")
+        assert results.read_bytes() == results_before
+        assert omitted.read_bytes() == omitted_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "omitted.csv", "results.csv"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_omitted_rows_failing_replace_neither_file(self, tmp_path):
+        results, omitted, results_before, omitted_before = self.old_files(tmp_path)
+
+        def omissions_then_disk_error():
+            yield OmittedIssue(issue=issue_ref(), reason="no_discussion")
+            raise OSError("disk full")
+
+        with pytest.raises(IoFailure, match="disk full"):
+            write_report([record("new row")], omissions_then_disk_error(), results, omitted)
+        assert results.read_bytes() == results_before
+        assert omitted.read_bytes() == omitted_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["omitted.csv", "results.csv"]
 
 
 def ref_write_results(records, path, include_confidence=False):
