@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -99,8 +99,10 @@ def _finite_numbers(values) -> bool:
 class ModelFile:
     """Serialized linear classifier: taxonomy, vocabulary, weights, bias.
 
-    Scoring reads a column-major copy of the weights built on the first
-    prediction, so a model must not be mutated once it has scored a line.
+    A model is checked when it is built, whether loaded, trained or constructed
+    in code: a bad field raises SchemaViolation naming it. Scoring reads a
+    column-major copy of the weights built on the first prediction, so a model
+    must not be mutated once it has scored a line.
     """
 
     format_version: int
@@ -110,12 +112,27 @@ class ModelFile:
     bias: list[float]
     metadata: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.validate()
+        self.weights = [[float(x) for x in row] for row in self.weights]
+        self.bias = [float(x) for x in self.bias]
+
     def validate(self) -> None:
         """Check every structural invariant; raises SchemaViolation.
 
-        Numbers are checked as they were read, before any float() conversion.
+        Numbers are checked as they were given, before any float() conversion.
         """
         _check_version(self.format_version)
+        if not isinstance(self.taxonomy, Taxonomy):
+            raise SchemaViolation("taxonomy", "must be a Taxonomy")
+        if not isinstance(self.vocabulary, dict):
+            raise SchemaViolation("vocabulary", "must map tokens to integer indexes")
+        if not isinstance(self.weights, list) or not all(isinstance(r, list) for r in self.weights):
+            raise SchemaViolation("weights", "must be a list of rows")
+        if not isinstance(self.bias, list):
+            raise SchemaViolation("bias", "must be a list")
+        if not isinstance(self.metadata, dict):
+            raise SchemaViolation("metadata", "must be an object")
         c = len(self.taxonomy)
         v = len(self.vocabulary)
         if not {type(index) for index in self.vocabulary.values()} <= {int}:
@@ -174,16 +191,14 @@ class LabeledCorpus:
         return len(self.examples)
 
 
-_TOP_LEVEL_FIELDS = {"format_version", "taxonomy", "vocabulary", "weights", "bias", "metadata"}
-
-
 def _model_from_document(doc: object, source: str) -> ModelFile:
     if not isinstance(doc, dict):
         raise SchemaViolation("document", f"{source} is not a JSON object")
-    missing = _TOP_LEVEL_FIELDS - doc.keys()
+    top_level_fields = {f.name for f in fields(ModelFile)}
+    missing = top_level_fields - doc.keys()
     if missing:
         raise SchemaViolation(sorted(missing)[0], "required field missing")
-    extra = doc.keys() - _TOP_LEVEL_FIELDS
+    extra = doc.keys() - top_level_fields
     if extra:
         raise SchemaViolation(sorted(extra)[0], "unexpected top-level field")
     _check_version(doc["format_version"])  # first: another version may have another layout
@@ -194,30 +209,7 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
         taxonomy = Taxonomy(tuple(taxonomy_field))
     except ValueError as exc:
         raise SchemaViolation("taxonomy", str(exc)) from None
-    vocabulary = doc["vocabulary"]
-    if not isinstance(vocabulary, dict):
-        raise SchemaViolation("vocabulary", "must map tokens to integer indexes")
-    weights = doc["weights"]
-    if not isinstance(weights, list) or not all(isinstance(r, list) for r in weights):
-        raise SchemaViolation("weights", "must be a list of rows")
-    bias = doc["bias"]
-    if not isinstance(bias, list):
-        raise SchemaViolation("bias", "must be a list")
-    metadata = doc["metadata"]
-    if not isinstance(metadata, dict):
-        raise SchemaViolation("metadata", "must be an object")
-    model = ModelFile(
-        format_version=doc["format_version"],
-        taxonomy=taxonomy,
-        vocabulary=dict(vocabulary),
-        weights=weights,
-        bias=bias,
-        metadata=dict(metadata),
-    )
-    model.validate()
-    model.weights = [[float(x) for x in row] for row in weights]
-    model.bias = [float(x) for x in bias]
-    return model
+    return ModelFile(**{**doc, "taxonomy": taxonomy})
 
 
 def load_model(path: str | Path) -> ModelFile:
@@ -275,8 +267,8 @@ def train_baseline(
     bias[c]    = ln(examples in class c / total examples)
     weights[c][t] = ln((count of t in c + alpha) / (tokens in c + alpha * V))
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:  # also false for nan
+        raise ValueError(f"alpha must be a positive finite number, got {alpha}")
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     class_examples: Counter[str] = Counter()
@@ -305,7 +297,7 @@ def train_baseline(
     meta = {"trainer": "multinomial_naive_bayes", "alpha": repr(float(alpha))}
     if metadata:
         meta.update(metadata)
-    model = ModelFile(
+    return ModelFile(
         format_version=FORMAT_VERSION,
         taxonomy=taxonomy,
         vocabulary=vocabulary,
@@ -313,8 +305,6 @@ def train_baseline(
         bias=bias,
         metadata=meta,
     )
-    model.validate()
-    return model
 
 
 def predict_line(model: ModelFile, tokens) -> Prediction:

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 CODE_TOKEN = "CODE"
 URL_TOKEN = "URL"
@@ -84,26 +83,12 @@ class ProcessedLine:
         return " ".join(self.tokens)
 
 
-def _parse_stop_words(text: str) -> frozenset[str]:
-    words = set()
-    for line in text.splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.add(word.lower())
-    return frozenset(words)
-
-
-def load_stop_words(path: str | Path) -> frozenset[str]:
-    """Read a stop-word file: one lowercase word per line, `#` comments allowed."""
-    return _parse_stop_words(Path(path).read_text(encoding="utf-8"))
-
-
 @lru_cache(maxsize=1)
 def default_stop_words() -> frozenset[str]:
-    """The vendored English stop-word list shipped with the package."""
-    return _parse_stop_words(
-        resources.files("issuesift").joinpath("data/stopwords_en.txt").read_text("utf-8")
-    )
+    """The vendored English stop-word list: one word per line, `#` comments allowed."""
+    text = resources.files("issuesift").joinpath("data/stopwords_en.txt").read_text("utf-8")
+    words = (line.strip() for line in text.splitlines())
+    return frozenset(word for word in words if word and not word.startswith("#"))
 
 
 def _replace_once(text: str) -> str:

@@ -120,10 +120,11 @@ class TestTrainBaseline:
         with pytest.raises(EmptyCategory):
             train_baseline(corpus, TWO_CLASS, alpha=1.0)
 
-    def test_nonpositive_alpha_rejected(self):
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_alpha_rejected(self, alpha):
         corpus = LabeledCorpus(((("x",), "A"), (("y",), "B")))
-        with pytest.raises(ValueError):
-            train_baseline(corpus, TWO_CLASS, alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            train_baseline(corpus, TWO_CLASS, alpha=alpha)
 
     def test_example_without_tokens_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +321,50 @@ class TestSerialization:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             load_model(tmp_path / "absent.json")
+
+
+class TestModelFileChecks:
+    """A ModelFile built in code gets the same checks as a loaded one."""
+
+    @staticmethod
+    def good_fields():
+        model = two_class_model()
+        return {
+            "format_version": FORMAT_VERSION,
+            "taxonomy": model.taxonomy,
+            "vocabulary": model.vocabulary,
+            "weights": model.weights,
+            "bias": model.bias,
+            "metadata": {},
+        }
+
+    @pytest.mark.parametrize("field, value", [
+        ("bias", None),
+        ("weights", None),
+        ("vocabulary", ["bug", "fix", "thanks"]),
+        ("metadata", []),
+        ("taxonomy", ("A", "B")),
+        ("weights", [[0.0, 0.0, 0.0], [0.0, 0.0]]),
+        ("weights", [[True, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ], ids=["none-bias", "none-weights", "list-vocabulary", "list-metadata", "tuple-taxonomy",
+            "ragged-weight-row", "bool-weight"])
+    def test_bad_field_rejected_when_built(self, field, value):
+        with pytest.raises(SchemaViolation) as excinfo:
+            ModelFile(**{**self.good_fields(), field: value})
+        assert excinfo.value.field == field
+
+    def test_built_model_stores_floats(self):
+        model = ModelFile(**{**self.good_fields(), "weights": [[1, 2, 3], [4, 5, 6]], "bias": [0, -1]})
+        assert model.weights == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert all(type(x) is float for x in model.bias + model.weights[0] + model.weights[1])
+
+    def test_save_after_field_reassigned(self, tmp_path):
+        model = two_class_model()
+        model.bias = None
+        with pytest.raises(SchemaViolation) as excinfo:
+            save_model(model, tmp_path / "model.json")
+        assert excinfo.value.field == "bias"
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestLoadCorpus:

@@ -9,7 +9,6 @@ from issuesift.text_prep import (
     PrepConfig,
     ProcessedLine,
     default_stop_words,
-    load_stop_words,
     normalize,
     preprocess_comment,
     remove_stop_words,
@@ -160,11 +159,9 @@ class TestConfig:
         stops = default_stop_words()
         assert {"the", "is", "don't", "wouldn't"} <= stops
         assert len(stops) > 150
-
-    def test_load_stop_words_file(self, tmp_path):
-        path = tmp_path / "stops.txt"
-        path.write_text("# comment\nfoo\n\nBar\n", encoding="utf-8")
-        assert load_stop_words(path) == {"foo", "bar"}
+        # blank lines and `#` comment lines of the vendored file are skipped
+        assert all(word and not word.startswith("#") for word in stops)
+        assert all(word == word.lower() for word in stops)
 
     def test_processed_line_requires_tokens(self):
         with pytest.raises(ValueError):
