@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from importlib import resources
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 
 from .errors import (
@@ -291,9 +293,12 @@ def train_baseline(
     for name in taxonomy:
         counts = token_counts[name]
         denominator = sum(counts.values()) + alpha * v
-        weights.append(
-            [math.log((counts[token] + alpha) / denominator) for token in vocabulary]
-        )
+        shares = [(counts[token] + alpha) / denominator for token in vocabulary]
+        # A huge alpha overflows the denominator, a tiny one underflows a share.
+        if 0.0 in shares:
+            raise ValueError(f"alpha {alpha!r} is out of range for this corpus: "
+                             f"a smoothed share of category {name!r} rounds to 0")
+        weights.append([math.log(share) for share in shares])
     meta = {"trainer": "multinomial_naive_bayes", "alpha": repr(float(alpha))}
     if metadata:
         meta.update(metadata)
@@ -307,37 +312,57 @@ def train_baseline(
     )
 
 
-def predict_line(model: ModelFile, tokens) -> Prediction:
-    """Score one token sequence; out-of-vocabulary tokens contribute nothing.
+def _scores(model: ModelFile, tokens) -> list[float]:
+    """The log-score of every category; the returned list must not be mutated.
 
-    Ties break toward the lowest taxonomy index. An empty token list is
-    scored on the bias alone.
+    One weight * count term per distinct in-vocabulary token, in
+    first-occurrence order: summing per occurrence, or in another order, moves
+    the last bits of the scores, and ties break on exact equality. A count of
+    one adds the column as it is, which is the same float as w * 1.
     """
     columns = model._columns
     counts: dict[str, int] = {}
     for token in tokens:
         if token in columns:
             counts[token] = counts.get(token, 0) + 1
-    # One weight * count term per distinct token, in first-occurrence order:
-    # summing per occurrence, or in another order, moves the last bits of the
-    # scores, and ties break on exact equality.
-    scores = list(model.bias)
+    scores = model.bias
     for token, count in counts.items():
-        scores = [s + w * count for s, w in zip(scores, columns[token])]
+        column = columns[token]
+        if count != 1:
+            column = map(mul, column, repeat(count))
+        scores = list(map(add, scores, column))
+    return scores
+
+
+def _choose(model: ModelFile, scores: list[float]) -> tuple[str, float]:
+    """(category, softmax confidence); ties break toward the lowest taxonomy index.
+
+    exp(peak - peak) is exactly 1.0, so 1.0 / sum is the best category's
+    exp over the sum, bit for bit.
+    """
     best = scores.index(max(scores))
     peak = scores[best]
-    exps = [math.exp(s - peak) for s in scores]
-    confidence = exps[best] / sum(exps)
-    return Prediction(
-        category=model.taxonomy.categories[best],
-        scores=tuple(scores),
-        confidence=confidence,
-    )
+    return model.taxonomy.categories[best], 1.0 / sum([math.exp(s - peak) for s in scores])
 
 
-def classify_lines(model: ModelFile, lines) -> list[tuple[object, Prediction]]:
-    """Predict every line in order; a pure map over predict_line."""
-    return [(line, predict_line(model, line.tokens)) for line in lines]
+def predict_line(model: ModelFile, tokens) -> Prediction:
+    """Score one token sequence; out-of-vocabulary tokens contribute nothing.
+
+    Ties break toward the lowest taxonomy index. An empty token list is
+    scored on the bias alone.
+    """
+    scores = _scores(model, tokens)
+    category, confidence = _choose(model, scores)
+    return Prediction(category=category, scores=tuple(scores), confidence=confidence)
+
+
+def classify_lines(model: ModelFile, lines) -> list[tuple[object, tuple[str, float]]]:
+    """``(line, (category, confidence))`` for every line, in order.
+
+    The pair equals ``predict_line``'s category and confidence exactly; the
+    score vector is not kept.
+    """
+    return [(line, _choose(model, _scores(model, line.tokens))) for line in lines]
 
 
 def load_corpus(path: str | Path) -> LabeledCorpus:

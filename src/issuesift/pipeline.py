@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .classifier import ModelFile, classify_lines
 from .errors import GitHubError, UnknownCategory
@@ -67,7 +68,8 @@ class OmittedIssue:
 class ClassifiedRecord:
     """One classified comment line of a kept issue: what its CSV row reads, no more.
 
-    ``classifier.predict_line`` returns the full score vector, which is not kept.
+    Built from ``classify_lines``' ``(category, confidence)`` pair; the score
+    vector is never built on this path.
     """
 
     issue: IssueRef
@@ -189,15 +191,15 @@ def run(
         lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
         records = [
             ClassifiedRecord(issue, line.comment_id, line.line_index, line.rendered,
-                             prediction.category, prediction.confidence)
-            for line, prediction in classify_lines(model, lines)
+                             category, confidence)
+            for line, (category, confidence) in classify_lines(model, lines)
         ]
         grouped.append((issue, records))
 
     records, category_omitted = apply_category_filters(grouped, spec)
     omitted.extend(category_omitted)
 
-    records.sort(key=lambda r: (r.issue.id, r.comment_id, r.line_index))
+    records.sort(key=attrgetter("issue.id", "comment_id", "line_index"))
     omitted.sort(key=lambda o: o.issue.id)
 
     per_category = {name: 0 for name in model.taxonomy}

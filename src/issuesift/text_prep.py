@@ -3,14 +3,16 @@
 Code spans, URLs, @-mentions, and quoted spans collapse to the fixed
 placeholder tokens CODE, URL, SCREEN_NAME and QUOTE, which any model trained
 on the cleaned text relies on; the result is split on newlines, normalized,
-and run through the configured stop-word filter. Everything here is a pure
-function of (input, config), so callers may parallelize freely.
+and run through the configured stop-word filter. Every result is a pure
+function of (input, config), so callers may parallelize freely. A config also
+carries a bounded memo of what each raw token becomes; it is filled as lines
+are processed and never changes a result.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -45,12 +47,25 @@ _SQUOTE_RE = re.compile(r"(?<!\w)'[^'\n]*'")
 # chars, which carry meaning in issue text (paths, "#123" refs, snake_case).
 _EDGE_KEEP = frozenset("/#_")
 
+# Entries a PrepConfig's token memo holds at most; past it, new tokens are
+# worked out each time. Issue text repeats a small vocabulary (629 distinct
+# raw tokens in the 555,205 of the benchmark's bulk fixture). Input in which
+# no token repeats pays for every entry, and more so once the table outgrows
+# the CPU cache: with 16,384 entries it cleaned slower than with no memo.
+_MEMO_CAP = 4_096
+
 
 @dataclass(frozen=True)
 class PrepConfig:
-    """Immutable preprocessing configuration: the stop words to drop."""
+    """Immutable preprocessing configuration: the stop words to drop.
+
+    It also owns the memo from each raw whitespace-split token to the token
+    preprocessing keeps ("" when it is dropped). The memo is not part of the
+    config's value: it is left out of equality, hashing and repr.
+    """
 
     stop_words: frozenset[str]
+    _memo: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Stop lists are lowercase words, so "code" is fine: removal exempts placeholders.
@@ -63,6 +78,10 @@ class PrepConfig:
     def default(cls, extra_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":
         """Config backed by the vendored English stop-word list plus any extra words."""
         return cls(stop_words=default_stop_words().union(extra_stop_words))
+
+
+# normalize is the line cleaning of a config without stop words.
+_NO_STOP_WORDS = PrepConfig(stop_words=frozenset())
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +166,36 @@ def _strip_edges(token: str) -> str:
     return token[start:end]
 
 
+def _line_tokens(line: str, config: PrepConfig) -> list[str]:
+    """The tokens a line keeps under config, looked up in and added to its memo."""
+    memo = config._memo
+    remembered = memo.get
+    stops = config.stop_words
+    # Locals: read once per line, not once per new token.
+    keep, placeholders, cap = _EDGE_KEEP, PLACEHOLDERS, _MEMO_CAP
+    out = []
+    for raw in line.split():
+        token = remembered(raw)
+        if token is None:
+            # Most tokens already start and end on a kept character.
+            first, last = raw[0], raw[-1]
+            if (first.isalnum() or first in keep) and (last.isalnum() or last in keep):
+                token = raw
+            else:
+                token = _strip_edges(raw)
+            if token not in placeholders:
+                # remove_stop_words' rule, for a lowercase non-placeholder.
+                token = token.lower()
+                if token in stops:
+                    token = ""
+            # Concurrent callers may each add one entry past the cap.
+            if len(memo) < cap:
+                memo[raw] = token
+        if token:
+            out.append(token)
+    return out
+
+
 def normalize(line: str) -> list[str]:
     """Whitespace-split and lowercase a line, stripping edge punctuation.
 
@@ -154,19 +203,7 @@ def normalize(line: str) -> list[str]:
     "tf.function", "don't", and "issues/27120" come through intact.
     Placeholder tokens are kept verbatim.
     """
-    placeholders = PLACEHOLDERS  # a local: read once per token
-    out = []
-    for token in line.split():
-        # Most tokens already start and end on a kept character.
-        first, last = token[0], token[-1]
-        if (first.isalnum() or first in _EDGE_KEEP) and (last.isalnum() or last in _EDGE_KEEP):
-            core = token
-        else:
-            core = _strip_edges(token)
-            if not core:
-                continue
-        out.append(core if core in placeholders else core.lower())
-    return out
+    return _line_tokens(line, _NO_STOP_WORDS)
 
 
 def remove_stop_words(tokens: list[str], config: PrepConfig) -> list[str]:
@@ -176,17 +213,24 @@ def remove_stop_words(tokens: list[str], config: PrepConfig) -> list[str]:
     return [t for t in tokens if t in placeholders or t.lower() not in stops]
 
 
+@lru_cache(maxsize=1)
+def _default_config() -> PrepConfig:
+    return PrepConfig.default()
+
+
 def preprocess_comment(comment, config: PrepConfig | None = None) -> list[ProcessedLine]:
     """Full cleaning pipeline for one raw comment.
 
     Runs replace_tokens, splits into lines, normalizes and stop-filters each
     line, and drops lines left without tokens. Surviving lines are numbered
-    0..n-1 in their original order.
+    0..n-1 in their original order. Without a config, one shared
+    ``PrepConfig.default()`` is used.
     """
-    config = config or PrepConfig.default()
+    if config is None:
+        config = _default_config()
     lines = []
     for raw_line in split_lines(replace_tokens(comment.body)):
-        tokens = remove_stop_words(normalize(raw_line), config)
+        tokens = _line_tokens(raw_line, config)
         if not tokens:
             continue
         lines.append(

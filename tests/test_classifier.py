@@ -126,6 +126,18 @@ class TestTrainBaseline:
         with pytest.raises(ValueError, match="alpha"):
             train_baseline(corpus, TWO_CLASS, alpha=alpha)
 
+    def test_huge_alpha_rejected(self):
+        # alpha * V overflows to inf, so every smoothed share is 0.
+        corpus = LabeledCorpus(((("x",), "A"), (("y",), "B")))
+        with pytest.raises(ValueError, match="alpha"):
+            train_baseline(corpus, TWO_CLASS, alpha=1e308)
+
+    def test_tiny_alpha_rejected(self):
+        # alpha / 5 underflows to 0 for "y", which category A never saw.
+        corpus = LabeledCorpus(((("x",) * 5, "A"), (("y",), "B")))
+        with pytest.raises(ValueError, match="alpha"):
+            train_baseline(corpus, TWO_CLASS, alpha=5e-324)
+
     def test_example_without_tokens_rejected(self):
         with pytest.raises(ValueError):
             LabeledCorpus((((), "A"),))
@@ -184,7 +196,7 @@ class TestClassifyLines:
         lines = [self.line(["fix"]), self.line(["thanks"], 1)]
         results = classify_lines(model, lines)
         assert [line for line, _ in results] == lines
-        assert [p.category for _, p in results] == ["A", "B"]
+        assert [category for _, (category, _) in results] == ["A", "B"]
 
     def test_duplicate_lines_identical_predictions(self):
         model = two_class_model()
@@ -550,3 +562,36 @@ class TestColumnScoringMatchesReference:
         token = sorted(BUNDLED.vocabulary)[0]
         for count in range(1, 12):
             self.assert_same(BUNDLED, [token] * count + ["oov"] + [token])
+
+
+# A and B have the same weights and bias, so they always tie, and C ties
+# with both on a line holding as many "x" as "y".
+TIED = ModelFile(
+    format_version=FORMAT_VERSION,
+    taxonomy=Taxonomy(("A", "B", "C")),
+    vocabulary={"x": 0, "y": 1},
+    weights=[[1.0, 0.5], [1.0, 0.5], [0.5, 1.0]],
+    bias=[0.0, 0.0, 0.0],
+)
+# Few distinct tokens, so lines repeat them; the bundled model reads x and y
+# as out of vocabulary, and TIED reads its words as such.
+LINE_TOKENS = sorted(BUNDLED.vocabulary)[:6] + ["x", "y"] + OUT_OF_VOCABULARY
+
+
+class TestClassifyLinesMatchesPredictLine:
+    @given(st.sampled_from([BUNDLED, TIED]),
+           st.lists(st.lists(st.sampled_from(LINE_TOKENS), min_size=1, max_size=30), max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_pairs_equal_predict_line(self, model, token_lists):
+        lines = [ProcessedLine(1, 2, index, tuple(tokens)) for index, tokens in enumerate(token_lists)]
+        results = classify_lines(model, lines)
+        assert [line for line, _ in results] == lines
+        for line, pair in results:
+            prediction = predict_line(model, line.tokens)
+            assert pair == (prediction.category, prediction.confidence)
+
+    def test_three_way_tie_goes_to_the_first_category(self):
+        line = ProcessedLine(1, 2, 0, ("x", "y", "y", "x"))
+        [(_, pair)] = classify_lines(TIED, [line])
+        assert pair == ("A", 1.0 / 3.0)
+        assert pair == ref_predict_line(TIED, line.tokens)[::2]
