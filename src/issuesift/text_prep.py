@@ -3,16 +3,14 @@
 Code spans, URLs, @-mentions, and quoted spans collapse to the fixed
 placeholder tokens CODE, URL, SCREEN_NAME and QUOTE, which any model trained
 on the cleaned text relies on; the result is split on newlines, normalized,
-and run through the configured stop-word filter. Every result is a pure
-function of (input, config), so callers may parallelize freely. A config also
-carries a bounded memo of what each raw token becomes; it is filled as lines
-are processed and never changes a result.
+and run through the configured stop-word filter. Everything here is a pure
+function of (input, config), so callers may parallelize freely.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -47,25 +45,12 @@ _SQUOTE_RE = re.compile(r"(?<!\w)'[^'\n]*'")
 # chars, which carry meaning in issue text (paths, "#123" refs, snake_case).
 _EDGE_KEEP = frozenset("/#_")
 
-# Entries a PrepConfig's token memo holds at most; past it, new tokens are
-# worked out each time. Issue text repeats a small vocabulary (629 distinct
-# raw tokens in the 555,205 of the benchmark's bulk fixture). Input in which
-# no token repeats pays for every entry, and more so once the table outgrows
-# the CPU cache: with 16,384 entries it cleaned slower than with no memo.
-_MEMO_CAP = 4_096
-
 
 @dataclass(frozen=True)
 class PrepConfig:
-    """Immutable preprocessing configuration: the stop words to drop.
-
-    It also owns the memo from each raw whitespace-split token to the token
-    preprocessing keeps ("" when it is dropped). The memo is not part of the
-    config's value: it is left out of equality, hashing and repr.
-    """
+    """Immutable preprocessing configuration: the stop words to drop."""
 
     stop_words: frozenset[str]
-    _memo: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Stop lists are lowercase words, so "code" is fine: removal exempts placeholders.
@@ -78,10 +63,6 @@ class PrepConfig:
     def default(cls, extra_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":
         """Config backed by the vendored English stop-word list plus any extra words."""
         return cls(stop_words=default_stop_words().union(extra_stop_words))
-
-
-# normalize is the line cleaning of a config without stop words.
-_NO_STOP_WORDS = PrepConfig(stop_words=frozenset())
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,33 +147,28 @@ def _strip_edges(token: str) -> str:
     return token[start:end]
 
 
-def _line_tokens(line: str, config: PrepConfig) -> list[str]:
-    """The tokens a line keeps under config, looked up in and added to its memo."""
-    memo = config._memo
-    remembered = memo.get
-    stops = config.stop_words
-    # Locals: read once per line, not once per new token.
-    keep, placeholders, cap = _EDGE_KEEP, PLACEHOLDERS, _MEMO_CAP
+def _line_tokens(line: str, stops: frozenset[str]) -> list[str]:
+    """normalize(line), then remove_stop_words' rule under stops, in one pass."""
+    placeholders = PLACEHOLDERS  # a local: read once per token
     out = []
-    for raw in line.split():
-        token = remembered(raw)
-        if token is None:
-            # Most tokens already start and end on a kept character.
-            first, last = raw[0], raw[-1]
-            if (first.isalnum() or first in keep) and (last.isalnum() or last in keep):
-                token = raw
-            else:
-                token = _strip_edges(raw)
-            if token not in placeholders:
-                # remove_stop_words' rule, for a lowercase non-placeholder.
-                token = token.lower()
-                if token in stops:
-                    token = ""
-            # Concurrent callers may each add one entry past the cap.
-            if len(memo) < cap:
-                memo[raw] = token
-        if token:
-            out.append(token)
+    for token in line.split():
+        # Most tokens already start and end on a kept character.
+        first, last = token[0], token[-1]
+        if (first.isalnum() or first in _EDGE_KEEP) and (last.isalnum() or last in _EDGE_KEEP):
+            core = token
+        else:
+            core = _strip_edges(token)
+            if not core:
+                continue
+        if core in placeholders:
+            out.append(core)
+        else:
+            # The stop rule for a lowercase non-placeholder: lowering it again
+            # would change nothing. Kept inline for speed; it must agree with
+            # remove_stop_words.
+            core = core.lower()
+            if core not in stops:
+                out.append(core)
     return out
 
 
@@ -203,7 +179,7 @@ def normalize(line: str) -> list[str]:
     "tf.function", "don't", and "issues/27120" come through intact.
     Placeholder tokens are kept verbatim.
     """
-    return _line_tokens(line, _NO_STOP_WORDS)
+    return _line_tokens(line, frozenset())
 
 
 def remove_stop_words(tokens: list[str], config: PrepConfig) -> list[str]:
@@ -228,17 +204,12 @@ def preprocess_comment(comment, config: PrepConfig | None = None) -> list[Proces
     """
     if config is None:
         config = _default_config()
+    issue_id, comment_id, stops = comment.issue_id, comment.comment_id, config.stop_words
     lines = []
     for raw_line in split_lines(replace_tokens(comment.body)):
-        tokens = _line_tokens(raw_line, config)
+        tokens = _line_tokens(raw_line, stops)
         if not tokens:
             continue
-        lines.append(
-            ProcessedLine(
-                issue_id=comment.issue_id,
-                comment_id=comment.comment_id,
-                line_index=len(lines),
-                tokens=tuple(tokens),
-            )
-        )
+        # Positional: by keyword, building a line took about 1.7 times as long.
+        lines.append(ProcessedLine(issue_id, comment_id, len(lines), tuple(tokens)))
     return lines

@@ -1,7 +1,4 @@
-import random
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -305,13 +302,13 @@ def ref_preprocess_comment(comment, config):
 _MIXED_FRAGMENTS = list("abcXYZéßÑ日½ @'\"`\n\r\t .,:;/-_#!?()*[]") + [
     "http://", "https://ex.io/a", "HTTP://x", "://", "```", "``", "@bob", "@@", "a@b.io",
     "don't", "'tis", "\"q\"", "CODE", "QUOTE", "URL", "SCREEN_NAME", "the", "The", "is",
-    "fix", "İ", "\u00a0", "\u3000",
+    "fix", "İ", "\u00a0", "\u3000", "ΟΔΟΣ", "Σ", "ΣΑ",
 ]
 MIXED_TEXT = st.lists(st.sampled_from(_MIXED_FRAGMENTS), max_size=40).map("".join)
 CONFIGS = st.sampled_from([
     CFG,
     PrepConfig.default(),
-    PrepConfig(stop_words=frozenset({"fix", "the", "is", "don't"})),
+    PrepConfig(stop_words=frozenset({"fix", "the", "is", "don't", "οδος", "ς", "σα"})),
 ])
 
 
@@ -340,59 +337,10 @@ class TestMatchesReference:
         assert preprocess_comment(raw, config) == ref_preprocess_comment(raw, config)
 
 
-def mixed_texts(count, seed=0):
-    rng = random.Random(seed)
-    return ["".join(rng.choices(_MIXED_FRAGMENTS, k=rng.randint(0, 40))) for _ in range(count)]
-
-
-class TestTokenMemo:
-    def test_matches_reference_past_the_cap(self):
-        config = PrepConfig(stop_words=frozenset({"fix", "the", "is"}))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(text_prep, "_MEMO_CAP", 8)
-            for text in mixed_texts(300) * 2:
-                raw = comment(text)
-                assert preprocess_comment(raw, config) == ref_preprocess_comment(raw, config)
-        assert len(config._memo) == 8
-
-    def test_configs_do_not_share_tokens(self):
-        keep = PrepConfig(stop_words=frozenset())
-        drop = PrepConfig(stop_words=frozenset({"fix"}))
-        raw = comment("Fix the bug\nfix")
-        for _ in range(2):
-            assert [line.tokens for line in preprocess_comment(raw, keep)] == [("fix", "the", "bug"), ("fix",)]
-            assert [line.tokens for line in preprocess_comment(raw, drop)] == [("the", "bug")]
-
-    def test_used_config_equals_fresh_one(self):
-        used, fresh = PrepConfig.default(), PrepConfig.default()
-        preprocess_comment(comment("Fix the flaky test, see #12"), used)
-        assert used._memo and not fresh._memo
-        assert used == fresh
-        assert hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
-
-    @pytest.mark.parametrize("cap", [64, text_prep._MEMO_CAP])
-    def test_threads_sharing_a_config_match_reference(self, cap, monkeypatch):
-        monkeypatch.setattr(text_prep, "_MEMO_CAP", cap)
-        config = PrepConfig(stop_words=frozenset({"fix", "the", "is", "don't"}))
-        raws = [comment(text, comment_id=n) for n, text in enumerate(mixed_texts(400, seed=1))]
-        expected = [ref_preprocess_comment(raw, config) for raw in raws]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                runs = list(pool.map(lambda _: [preprocess_comment(raw, config) for raw in raws],
-                                     range(4), timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        assert runs == [expected] * 4
-        # A thread may add one entry between another's size check and its insert.
-        assert len(config._memo) <= cap + 3
-
+class TestDefaultConfig:
     def test_calls_without_config_share_one_default(self):
         raw = comment("Fix the flaky test")
         assert preprocess_comment(raw) == preprocess_comment(raw, PrepConfig.default())
         shared = text_prep._default_config()
         assert shared is text_prep._default_config()
         assert shared == PrepConfig.default()
-        assert "Fix" in shared._memo
