@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .classifier import ModelFile, classify_lines
-from .errors import GitHubError, UnknownCategory
+from .errors import GitHubError, InvalidToken, UnknownCategory
 from .github_client import IssueRef, RawComment, Session, check_search
 from .text_prep import PrepConfig, preprocess_comment
 
@@ -150,10 +150,12 @@ def run(
 ) -> tuple[list[ClassifiedRecord], list[OmittedIssue], RunSummary]:
     """Execute the full pipeline for one query.
 
+    Each issue is filtered, preprocessed and classified as soon as its thread
+    arrives, in search order, while later threads are still being fetched.
     Per-issue fetch failures degrade to omissions instead of aborting; search
-    or authentication failures propagate. Output ordering is imposed after
-    the concurrent fetch stage, so results are deterministic regardless of
-    completion order.
+    or authentication failures propagate, and stop the fetches not yet
+    started. Output ordering is imposed once every issue is in, so results
+    are deterministic regardless of completion order.
     """
     for name in sorted(spec.category_names()):
         if name not in model.taxonomy:
@@ -165,36 +167,36 @@ def run(
 
     def fetch_one(issue: IssueRef):
         try:
-            return issue, session.fetch_comments(issue), None
-        except GitHubError as exc:
-            return issue, None, exc
-
-    with ThreadPoolExecutor(max_workers=session.parallelism) as pool:
-        fetched = list(pool.map(fetch_one, issues))
+            return issue, session.fetch_comments(issue)
+        except InvalidToken:
+            raise  # a rejected credential fails every issue alike
+        except GitHubError:
+            return issue, None
 
     grouped: list[tuple[IssueRef, list[ClassifiedRecord]]] = []
     omitted: list[OmittedIssue] = []
-    for position, (issue, comments, error) in enumerate(fetched):
-        # Release this issue's raw thread: only its records outlive the loop.
-        fetched[position] = None
-        if error is not None:
-            omitted.append(OmittedIssue(issue=issue, reason="fetch_failed"))
-            continue
-        if len(comments) < spec.min_comments:
-            omitted.append(OmittedIssue(issue=issue, reason="no_discussion"))
-            continue
-        if spec.strict_match:
-            comments, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
-            if not matched:
-                omitted.append(OmittedIssue(issue=issue, reason="no_strict_match"))
+    with ThreadPoolExecutor(max_workers=session.parallelism) as pool:
+        # map yields in search order, so the first failing issue is the one
+        # that raises; leaving the loop cancels the fetches not yet started.
+        for issue, comments in pool.map(fetch_one, issues):
+            if comments is None:
+                omitted.append(OmittedIssue(issue=issue, reason="fetch_failed"))
                 continue
-        lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
-        records = [
-            ClassifiedRecord(issue, line.comment_id, line.line_index, line.rendered,
-                             category, confidence)
-            for line, (category, confidence) in classify_lines(model, lines)
-        ]
-        grouped.append((issue, records))
+            if len(comments) < spec.min_comments:
+                omitted.append(OmittedIssue(issue=issue, reason="no_discussion"))
+                continue
+            if spec.strict_match:
+                comments, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
+                if not matched:
+                    omitted.append(OmittedIssue(issue=issue, reason="no_strict_match"))
+                    continue
+            lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
+            records = [
+                ClassifiedRecord(issue, line.comment_id, line.line_index, line.rendered,
+                                 category, confidence)
+                for line, (category, confidence) in classify_lines(model, lines)
+            ]
+            grouped.append((issue, records))
 
     records, category_omitted = apply_category_filters(grouped, spec)
     omitted.extend(category_omitted)

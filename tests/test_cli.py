@@ -255,6 +255,21 @@ class TestMain:
         assert code == 2
         assert "rejected" in err
 
+    def test_rejected_credential_on_comments_exit_2(self, tmp_path):
+        issue = make_issue(10, 1, title="tf.function", comments=1)
+        writer = FixtureWriter(tmp_path / "fx")
+        writer.add_search_pages("tf.function", [issue])
+        writer.add(f"{issue['comments_url']}?per_page=100&page=1",
+                   {"message": "Bad credentials"}, status=401)
+        writer.write_manifest()
+        code, out, err = self.run_main([
+            "--query", "tf.function", "--fixtures", str(tmp_path / "fx"),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert "credential rejected" in err and "issues searched" not in out
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "o.csv").exists()
+
     def test_unwritable_output_exit_3(self, small_fixture_dir, tmp_path):
         blocker = tmp_path / "results.csv"
         blocker.mkdir()

@@ -1,10 +1,15 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
+
 import pytest
 
 from conftest import ScriptedTransport, rate_limit_payload, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
+from issuesift import pipeline
 from issuesift.classifier import LabeledCorpus, Taxonomy, load_default_model, train_baseline
-from issuesift.errors import NetworkFailure, UnknownCategory
+from issuesift.errors import InvalidToken, NetworkFailure, UnknownCategory
 from issuesift.github_client import GITHUB_API, IssueRef, RawComment, open_session
 from issuesift.pipeline import (
     ClassifiedRecord,
@@ -404,6 +409,127 @@ class TestRun:
         good = csv_bytes("good", well_formed)
         assert good[0].endswith(b",200,0,tf.function fixing,Solution Discussion\n")
         assert csv_bytes("odd", {**well_formed, **unread}) == good
+
+
+class RoutedTransport:
+    """A live GitHub whose search finds ``count`` issues; safe to call from any thread.
+
+    Issue ``n`` has id ``10 * n`` and one comment. ``comments(n)`` answers its
+    comments request on the requesting thread; the numbers asked for are kept
+    in ``comment_requests``, in the order they arrived.
+    """
+
+    def __init__(self, count, comments):
+        self.issues = [make_issue(10 * n, n, title=f"tf.function {n}", comments=1)
+                       for n in range(1, count + 1)]
+        self.comments = comments
+        self.comment_requests: list[int] = []
+        self._lock = threading.Lock()
+
+    def request(self, method, url, params=None):
+        path = urlsplit(url).path
+        if path == "/rate_limit":
+            return reply(200, rate_limit_payload())
+        if path == "/search/issues":
+            return reply(200, {"total_count": len(self.issues), "incomplete_results": False,
+                               "items": self.issues})
+        number = int(path.split("/")[-2])
+        with self._lock:
+            self.comment_requests.append(number)
+        return self.comments(number)
+
+
+def thread_reply(number):
+    return reply(200, [make_comment(100 * number, "tf.function fixing")])
+
+
+class TestStreamedRun:
+    PARALLELISM = 2
+
+    def run(self, transport, clock):
+        session = open_session("t", mode="live", transport=transport, parallelism=self.PARALLELISM,
+                               clock=clock.time, sleep=clock.sleep)
+        return run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
+
+    def test_invalid_token_on_comments_raises(self, fake_clock):
+        """A 401 is not one issue's failure: the first issue in search order raises it."""
+        denied = reply(401, {"message": "Bad credentials"})
+        transport = ScriptedTransport([
+            reply(200, rate_limit_payload()),
+            reply(200, {"total_count": 2, "incomplete_results": False, "items": [
+                make_issue(10, 1, title="tf.function a", comments=1),
+                make_issue(20, 2, title="tf.function b", comments=1),
+            ]}),
+            denied, denied,
+        ])
+        session = open_session("t", mode="live", transport=transport, parallelism=1,
+                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        with pytest.raises(InvalidToken, match="/issues/1/comments"):
+            run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
+
+    @pytest.mark.parametrize("status", [400, 403, 410, 422])
+    def test_other_comment_errors_degrade_to_fetch_failed(self, status, fake_clock):
+        def comments(number):
+            return reply(status, {"message": "no"}) if number == 1 else thread_reply(number)
+
+        records, omitted, _ = self.run(RoutedTransport(2, comments), fake_clock)
+        assert [(o.issue.id, o.reason) for o in omitted] == [(10, "fetch_failed")]
+        assert {r.issue.id for r in records} == {20}
+
+    def test_first_issue_is_classified_before_the_last_thread_arrives(self, fake_clock,
+                                                                      monkeypatch):
+        classified = threading.Event()
+        waited = []
+        classify = pipeline.classify_lines
+
+        def classify_and_signal(model, lines):
+            classified.set()
+            return classify(model, lines)
+
+        def comments(number):
+            if number == 3:
+                waited.append(classified.wait(timeout=5))
+            return thread_reply(number)
+
+        monkeypatch.setattr(pipeline, "classify_lines", classify_and_signal)
+        records, omitted, _ = self.run(RoutedTransport(3, comments), fake_clock)
+        assert waited == [True]
+        assert {r.issue.id for r in records} == {10, 20, 30} and omitted == []
+
+    @pytest.mark.parametrize("failure", ["401", "processing"])
+    def test_a_failure_stops_the_fetches_not_yet_started(self, failure, fake_clock, monkeypatch):
+        """Every comments request after the first blocks until the pool shuts down,
+        which is after the run stopped reading results; none may time out."""
+        release = threading.Event()
+        timed_out = []
+
+        class ReleasingPool(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                release.set()
+                super().shutdown(*args, **kwargs)
+
+        def comments(number):
+            if number == 1:
+                return reply(401, {"message": "Bad credentials"}) if failure == "401" \
+                    else thread_reply(number)
+            if not release.wait(timeout=5):
+                timed_out.append(number)
+                release.set()
+            return thread_reply(number)
+
+        def fail(*args):
+            raise RuntimeError("processing failed")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", ReleasingPool)
+        if failure == "processing":
+            monkeypatch.setattr(pipeline, "strict_match", fail)
+        transport = RoutedTransport(30, comments)
+        with pytest.raises(InvalidToken if failure == "401" else RuntimeError):
+            self.run(transport, fake_clock)
+        assert timed_out == []
+        # The failing request, plus at most one in flight on each pool thread.
+        assert 1 in transport.comment_requests
+        assert len(transport.comment_requests) <= 1 + self.PARALLELISM
 
 
 class TestSummaryInvariants:
