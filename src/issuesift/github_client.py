@@ -363,10 +363,17 @@ class Session:
         return list(results.values())
 
     def fetch_comments(self, issue: IssueRef) -> list[RawComment]:
-        """All comments of one issue, fully paginated, ascending created_at."""
+        """All comments of one issue, ascending created_at.
+
+        Paging stops at a short page, or after a full page once the comments
+        received reach the search item's ``comment_count`` and the reply's
+        ``link`` header names no ``rel="next"`` page. A count that is too high
+        ends at the short page; one that is too low is caught by the link, and
+        trusted when the reply has no ``link`` header at all.
+        """
         if issue.comment_count == 0:
             return []
-        items = self._paged_items("core", issue.comments_url, {},
+        items = self._paged_items("core", issue.comments_url, {}, expected=issue.comment_count,
                                   error=f"comments endpoint returned a non-list for issue {issue.id}")
         comments = [_comment_from_item(item, issue.id) for item in items]
         comments.sort(key=lambda c: c.created_at)  # stable: ties keep wire order
@@ -375,23 +382,30 @@ class Session:
     # -- request machinery --------------------------------------------------
 
     def _paged_items(self, kind: str, url: str, params: dict, *, error: str,
-                     items_key: str | None = None, max_pages: int | None = None):
+                     items_key: str | None = None, max_pages: int | None = None,
+                     expected: int | None = None):
         """Items of ``url``'s pages in wire order, each page requested when the caller
-        reaches it, up to a short page or page ``max_pages``. A page (or its
-        ``items_key`` member) must be a list, or NetworkFailure(``error``) is raised."""
+        reaches it, up to a short page or page ``max_pages``. With ``expected``, a full
+        page also ends paging once ``expected`` items have come and its reply has no
+        ``rel="next"`` link. A page (or its ``items_key`` member) must be a list, or
+        NetworkFailure(``error``) is raised."""
+        received = 0
         for page in itertools.islice(itertools.count(1), max_pages):
-            items = self._request(kind, url, {**params, "per_page": PAGE_SIZE, "page": page})
+            items, headers = self._request(kind, url, {**params, "per_page": PAGE_SIZE, "page": page})
             if items_key is not None:
                 items = items.get(items_key) if isinstance(items, dict) else None
             if not isinstance(items, list):
                 raise NetworkFailure(error)
             yield from items
-            if len(items) < PAGE_SIZE:
+            received += len(items)
+            if len(items) < PAGE_SIZE or (expected is not None and received >= expected
+                                          and 'rel="next"' not in headers.get("link", "")):
                 return
 
     def _request(self, kind: str, url: str, params: dict | None = None):
-        """GET with retries, returning the decoded JSON: each attempt returns, raises at
-        once, or names the error to raise once retries run out and the wait before the next try."""
+        """GET with retries, returning the decoded JSON and the reply's headers: each attempt
+        returns, raises at once, or names the error to raise once retries run out and the
+        wait before the next try."""
         delay = BACKOFF_BASE
         for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
@@ -413,7 +427,7 @@ class Session:
                         self._gate.block_until(kind, now + reset)
                 if 200 <= status < 300:
                     try:
-                        return json.loads(reply.body.decode("utf-8"))
+                        return json.loads(reply.body.decode("utf-8")), headers
                     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
                         raise NetworkFailure(f"invalid JSON from {url}: {exc}") from exc
                 if status == 401:
@@ -461,10 +475,11 @@ def open_session(
 ) -> Session:
     """Create a live or replay session.
 
-    Live sessions validate the credential with one rate-limit probe. Replay
-    sessions are unthrottled by default (there is no API to protect); passing
-    an explicit ``search_per_minute``/``core_per_hour`` turns the gate on,
-    which simulated-clock tests use.
+    A live session with a token validates it with one rate-limit probe; an
+    anonymous one has no credential to check and sends no request when it
+    opens. Replay sessions are unthrottled by default (there is no API to
+    protect); passing an explicit ``search_per_minute``/``core_per_hour``
+    turns the gate on, which simulated-clock tests use.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
@@ -484,7 +499,7 @@ def open_session(
     gate = RateGate(clock=clock or time.time, sleep=sleep or time.sleep, wait=wait_on_rate_limit,
                     budgets=budgets)
     session = Session(transport=transport, gate=gate, base_url=base_url, parallelism=parallelism)
-    if mode == "live":
+    if mode == "live" and token:
         # probe: raises InvalidToken on a bad credential
         session._request("meta", f"{session.base_url}/rate_limit")
     return session

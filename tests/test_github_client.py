@@ -29,6 +29,7 @@ from issuesift.errors import (
 from issuesift.github_client import (
     GITHUB_API,
     MAX_HEADER_WAIT,
+    PAGE_SIZE,
     REQUEST_TIMEOUT,
     SECONDARY_LIMIT_WAIT,
     LiveTransport,
@@ -74,6 +75,11 @@ class TestOpenSession:
         transport = ScriptedTransport([reply(200, rate_limit_payload())])
         open_session("token", mode="live", transport=transport)
         assert [url for _, url, _ in transport.requests] == [f"{GITHUB_API}/rate_limit"]
+
+    def test_anonymous_live_session_sends_no_request_when_it_opens(self):
+        transport = ScriptedTransport([])
+        open_session(None, mode="live", transport=transport)
+        assert transport.requests == []
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -249,20 +255,30 @@ class TestFetchComments:
 
 class PagedTransport:
     """A search of ``hits`` issues and one thread of ``comments`` comments, served in
-    pages of the requested size; records the (path, page) of every request."""
+    pages of the requested size; records the (path, page) of every request.
 
-    def __init__(self, hits, comments):
+    With ``links``, a reply carries a ``link`` header as GitHub sends it: only when
+    there is more than one page, with ``rel="next"`` on every page before the last."""
+
+    def __init__(self, hits, comments, links=False):
         self.hits = [make_issue(i + 1, i + 1) for i in range(hits)]
         self.comments = [make_comment(i + 1, f"c{i}") for i in range(comments)]
+        self.links = links
         self.pages: list[tuple[str, int]] = []
 
     def request(self, method, url, params=None):
         path, page, size = urlsplit(url).path, int(params["page"]), int(params["per_page"])
         self.pages.append((path, page))
+        served = self.hits if path == "/search/issues" else self.comments
+        last = max(1, math.ceil(len(served) / size))
+        rels = ([(page + 1, "next"), (last, "last")] if page < last else []) + \
+               ([(1, "first"), (page - 1, "prev")] if page > 1 else [])
+        headers = {"Link": ", ".join(f'<{GITHUB_API}{path}?per_page={size}&page={number}>; rel="{rel}"'
+                                     for number, rel in rels)} if self.links and last > 1 else {}
+        items = served[(page - 1) * size:page * size]
         if path == "/search/issues":
-            return reply(200, {"total_count": len(self.hits),
-                               "items": self.hits[(page - 1) * size:page * size]})
-        return reply(200, self.comments[(page - 1) * size:page * size])
+            return reply(200, {"total_count": len(self.hits), "items": items}, headers)
+        return reply(200, items, headers)
 
 
 class TestPageSequence:
@@ -274,10 +290,11 @@ class TestPageSequence:
         (1200, 1000, None, list(range(1, 11))),  # the search API serves 10 pages at most
         (None, None, 0, []),
         (None, None, 99, [1]),
-        (None, None, 100, [1, 2]),  # a full page is followed by an empty one
+        (None, None, 100, [1]),  # the full page holds all the comments the search item counts
         (None, None, 101, [1, 2]),
+        (None, None, 200, [1, 2]),
     ], ids=["search-150-limit-100", "search-150-limit-101", "search-1200-limit-1000",
-            "thread-0", "thread-99", "thread-100", "thread-101"])
+            "thread-0", "thread-99", "thread-100", "thread-101", "thread-200"])
     def test_exact_pages_requested(self, hits, limit, comments, pages):
         transport = PagedTransport(hits or 0, comments or 0)
         session = open_session(None, mode="replay", transport=transport)
@@ -287,6 +304,39 @@ class TestPageSequence:
         else:
             assert len(session.fetch_comments(make_issue_ref(comment_count=comments))) == comments
             assert transport.pages == [(self.THREAD, page) for page in pages]
+
+    @pytest.mark.parametrize("count, served, links, pages, fetched", [
+        (100, 150, True, [1, 2], 150),  # page 1 links a next page: it is followed
+        (200, 150, False, [1, 2], 150),  # comments were deleted: the short page ends paging
+        (100, 150, False, [1], 100),  # no link header: the count is trusted
+    ], ids=["stale-low-linked", "stale-high", "stale-low-unlinked"])
+    def test_stale_comment_count(self, count, served, links, pages, fetched):
+        transport = PagedTransport(0, served, links=links)
+        session = open_session(None, mode="replay", transport=transport)
+        comments = session.fetch_comments(make_issue_ref(comment_count=count))
+        assert [c.comment_id for c in comments] == list(range(1, fetched + 1))
+        assert transport.pages == [(self.THREAD, page) for page in pages]
+
+    @given(served=st.integers(0, 450), count=st.integers(0, 450))
+    @settings(max_examples=300, deadline=None)
+    def test_any_count_with_github_links(self, served, count):
+        """With GitHub's link headers, any search-item count gets the whole thread in
+        wire order, and no page after the first one that is not full (the short page,
+        or else the first empty one) is requested. A count of 0 is trusted without a
+        request; an exact count never costs an empty page."""
+        transport = PagedTransport(0, served, links=True)
+        session = open_session(None, mode="replay", transport=transport)
+        comments = session.fetch_comments(make_issue_ref(comment_count=count))
+        requested = [page for _, page in transport.pages]
+        if count == 0:
+            assert comments == [] and requested == []
+            return
+        assert [c.comment_id for c in comments] == list(range(1, served + 1))
+        assert requested == list(range(1, len(requested) + 1))
+        first_not_full = served // PAGE_SIZE + 1
+        assert len(requested) <= first_not_full
+        if count == served:
+            assert len(requested) == max(1, math.ceil(served / PAGE_SIZE))
 
 
 class TestReplayDeterminism:
@@ -468,7 +518,7 @@ class TestBudgetDefaults:
         return reply(200, {"total_count": 0, "items": []})
 
     def test_anonymous_live_session_gets_lower_search_budget(self, fake_clock):
-        script = [reply(200, rate_limit_payload())] + [self._search_reply()] * 11
+        script = [self._search_reply()] * 11
         session = open_session(None, mode="live", transport=ScriptedTransport(script),
                                clock=fake_clock.time, sleep=fake_clock.sleep)
         for _ in range(11):
