@@ -116,10 +116,6 @@ class TransportReply:
     body: bytes
 
 
-class _TransientFailure(Exception):
-    """Internal marker for retryable transport-level errors."""
-
-
 def canonical_url(url: str, params: dict | None = None) -> str:
     """URL with merged, key-sorted query params; the replay lookup key."""
     scheme, netloc, path, query, _ = urlsplit(url)
@@ -155,7 +151,7 @@ class LiveTransport:
         try:
             response = self._session.request(method, url, params=params, timeout=REQUEST_TIMEOUT)
         except self._errors as exc:
-            raise _TransientFailure(str(exc)) from exc
+            raise NetworkFailure(str(exc)) from exc
         headers = {k.lower(): v for k, v in response.headers.items()}
         return TransportReply(status=response.status_code, headers=headers, body=response.content)
 
@@ -207,16 +203,17 @@ class RateGate:
 
     ``acquire`` blocks through the injected sleep until a slot frees up in the
     window and any header-imposed block has expired. Kinds without a
-    configured budget pass through untouched.
+    configured budget pass through untouched. ``clock``, ``sleep`` and ``wait``
+    are the session's too: every wait in the client goes through ``sleep``.
     """
 
     def __init__(self, *, clock, sleep, wait: bool, budgets: dict[str, tuple[int, float]]):
         for kind, (count, _) in budgets.items():
             if count < 1:
                 raise ValueError(f"{kind} budget must allow at least 1 request per window, got {count}")
-        self._clock = clock
-        self._sleep = sleep
-        self._wait = wait
+        self.clock = clock
+        self.sleep = sleep
+        self.wait = wait
         self._budgets = budgets
         self._lock = threading.Lock()
         self._times = {kind: deque() for kind in budgets}
@@ -227,14 +224,14 @@ class RateGate:
             return
         while True:
             with self._lock:
-                now = self._clock()
+                now = self.clock()
                 ready = self._next_free(kind, now)
                 if ready <= now:
                     self._times[kind].append(now)
                     return
-            if not self._wait:
+            if not self.wait:
                 raise RateLimited(f"{kind} budget exhausted and waiting is disabled")
-            self._sleep(max(0.0, ready - now))
+            self.sleep(max(0.0, ready - now))
 
     def _next_free(self, kind: str, now: float) -> float:
         count, window = self._budgets[kind]
@@ -412,7 +409,7 @@ class Session:
             least = 0.0  # the shortest wait allowed when no header sets one
             try:
                 reply = self._transport.request("GET", url, params)
-            except _TransientFailure as exc:
+            except NetworkFailure as exc:
                 failure = NetworkFailure(f"{url}: {exc} (after {retries} retries)")
                 cause, wait = exc, None
             else:
@@ -421,7 +418,7 @@ class Session:
                 exhausted = headers.get("x-ratelimit-remaining") == "0"
                 if exhausted:
                     # Live response headers are authoritative over the static budgets.
-                    now = self._gate._clock()
+                    now = self._gate.clock()
                     reset = _header_wait(headers.get("x-ratelimit-reset"), now)
                     if reset is not None:
                         self._gate.block_until(kind, now + reset)
@@ -441,7 +438,7 @@ class Session:
                 if status == 429 or (status == 403 and (
                     exhausted or "retry-after" in headers or b"rate limit" in reply.body.lower()
                 )):
-                    if not self._gate._wait:
+                    if not self._gate.wait:
                         raise RateLimited(f"{url} answered {status} and waiting is disabled")
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
                     retry_after = _header_wait(headers.get("retry-after"))
@@ -455,7 +452,7 @@ class Session:
                 raise failure from cause
             if wait is None:
                 wait = max(least, delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
-            self._gate._sleep(wait)
+            self._gate.sleep(wait)
             delay *= BACKOFF_FACTOR
 
 
@@ -473,13 +470,12 @@ def open_session(
     parallelism: int = 4,
     transport=None,
 ) -> Session:
-    """Create a live or replay session.
+    """Create a live or replay session. Opening one sends no request.
 
-    A live session with a token validates it with one rate-limit probe; an
-    anonymous one has no credential to check and sends no request when it
-    opens. Replay sessions are unthrottled by default (there is no API to
-    protect); passing an explicit ``search_per_minute``/``core_per_hour``
-    turns the gate on, which simulated-clock tests use.
+    A rejected token fails the first request it is sent with, as InvalidToken.
+    Replay sessions are unthrottled by default (there is no API to protect);
+    passing an explicit ``search_per_minute``/``core_per_hour`` turns the gate
+    on, which simulated-clock tests use.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
@@ -498,8 +494,4 @@ def open_session(
     budgets = {kind: (count, window) for kind, count, window in windows if count is not None}
     gate = RateGate(clock=clock or time.time, sleep=sleep or time.sleep, wait=wait_on_rate_limit,
                     budgets=budgets)
-    session = Session(transport=transport, gate=gate, base_url=base_url, parallelism=parallelism)
-    if mode == "live" and token:
-        # probe: raises InvalidToken on a bad credential
-        session._request("meta", f"{session.base_url}/rate_limit")
-    return session
+    return Session(transport=transport, gate=gate, base_url=base_url, parallelism=parallelism)

@@ -71,15 +71,6 @@ def reply(status: int = 200, payload=None, headers: dict | None = None) -> Trans
     return TransportReply(status=status, headers=lowered, body=body)
 
 
-def rate_limit_payload(search_remaining=30, core_remaining=5000, reset=1_700_000_100):
-    return {
-        "resources": {
-            "search": {"limit": 30, "remaining": search_remaining, "reset": reset},
-            "core": {"limit": 5000, "remaining": core_remaining, "reset": reset},
-        }
-    }
-
-
 @pytest.fixture
 def fake_clock():
     return FakeClock()

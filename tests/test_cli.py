@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import requests
 
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
@@ -268,6 +270,25 @@ class TestMain:
         ])
         assert code == 2
         assert "credential rejected" in err and "issues searched" not in out
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "o.csv").exists()
+
+    def test_rejected_token_on_search_exit_2(self, tmp_path, monkeypatch):
+        """A live run sends nothing before the search, so its first page meets the 401."""
+        urls = []
+
+        def denied(self, method, url, **kwargs):
+            urls.append(url)
+            return SimpleNamespace(status_code=401, headers={}, content=b'{"message": "Bad credentials"}')
+
+        monkeypatch.setattr(requests.Session, "request", denied)
+        code, out, err = self.run_main([
+            "--query", "tf.function", "--token", "garbage",
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert urls == [f"{GITHUB_API}/search/issues"]
+        assert "credential rejected" in err and "/search/issues" in err
+        assert "searching for" in out and "issues searched" not in out
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "o.csv").exists()
 
     def test_unwritable_output_exit_3(self, small_fixture_dir, tmp_path):

@@ -13,7 +13,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ClockedTransport, FakeClock, ScriptedTransport, rate_limit_payload, reply
+from conftest import ClockedTransport, FakeClock, ScriptedTransport, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 import issuesift
@@ -36,7 +36,6 @@ from issuesift.github_client import (
     RateGate,
     ReplayTransport,
     TransportReply,
-    _TransientFailure,
     canonical_url,
     open_session,
 )
@@ -66,20 +65,18 @@ class TestOpenSession:
         with pytest.raises(FixtureNotFound):
             replay_session(empty)
 
-    def test_live_probe_rejects_bad_token(self):
-        transport = ScriptedTransport([reply(401, {"message": "Bad credentials"})])
-        with pytest.raises(InvalidToken):
-            open_session("garbage", mode="live", transport=transport)
-
-    def test_live_probe_is_one_rate_limit_request(self):
-        transport = ScriptedTransport([reply(200, rate_limit_payload())])
-        open_session("token", mode="live", transport=transport)
-        assert [url for _, url, _ in transport.requests] == [f"{GITHUB_API}/rate_limit"]
-
-    def test_anonymous_live_session_sends_no_request_when_it_opens(self):
+    @pytest.mark.parametrize("token", [None, "t"], ids=["anonymous", "token"])
+    def test_live_session_sends_no_request_when_it_opens(self, token):
         transport = ScriptedTransport([])
-        open_session(None, mode="live", transport=transport)
+        open_session(token, mode="live", transport=transport)
         assert transport.requests == []
+
+    def test_rejected_token_fails_the_first_search_page(self):
+        transport = ScriptedTransport([reply(401, {"message": "Bad credentials"})])
+        session = open_session("garbage", mode="live", transport=transport)
+        with pytest.raises(InvalidToken, match="/search/issues"):
+            session.search_issues("q", limit=5)
+        assert len(transport.requests) == 1
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -361,8 +358,7 @@ class TestReplayDeterminism:
 
 class TestRetryPolicy:
     def _session(self, replies, fake_clock, **kwargs):
-        script = [reply(200, rate_limit_payload())] + list(replies)
-        transport = ScriptedTransport(script)
+        transport = ScriptedTransport(replies)
         session = open_session("t", mode="live", transport=transport,
                                clock=fake_clock.time, sleep=fake_clock.sleep, **kwargs)
         return session, transport
@@ -371,14 +367,14 @@ class TestRetryPolicy:
         replies = [reply(500), reply(500), reply(200, {"total_count": 0, "items": []})]
         session, transport = self._session(replies, fake_clock)
         assert session.search_issues("q", limit=5) == []
-        assert len(transport.requests) == 4  # probe + 3 tries
+        assert len(transport.requests) == 3  # 3 tries
         backoffs = fake_clock.sleeps
         assert len(backoffs) == 2
         assert 0.8 <= backoffs[0] <= 1.2      # 1s +/- 20% jitter
         assert 1.6 <= backoffs[1] <= 2.4      # 2s +/- 20% jitter
 
     @pytest.mark.parametrize("failure, raised", [
-        (_TransientFailure("timed out"), NetworkFailure),
+        (NetworkFailure("timed out"), NetworkFailure),
         (reply(403, {"message": "API rate limit exceeded"}), RateLimited),
         (reply(429), RateLimited),
         (reply(500), NetworkFailure),
@@ -387,7 +383,7 @@ class TestRetryPolicy:
         session, transport = self._session([failure] * 5, fake_clock)
         with pytest.raises(raised, match="after 4 retries"):
             session.search_issues("q", limit=5)
-        assert len(transport.requests) == 6  # probe + 1 initial + 4 retries
+        assert len(transport.requests) == 5  # 1 initial + 4 retries
         assert len(fake_clock.sleeps) == 4
 
     def test_bare_403_not_retried(self, fake_clock):
@@ -395,14 +391,14 @@ class TestRetryPolicy:
         session, transport = self._session(replies, fake_clock)
         with pytest.raises(NetworkFailure, match="unexpected status 403"):
             session.search_issues("q", limit=5)
-        assert len(transport.requests) == 2  # probe + single attempt
+        assert len(transport.requests) == 1  # single attempt
         assert fake_clock.sleeps == []
 
     def test_plain_4xx_never_retried(self, fake_clock):
         session, transport = self._session([reply(400)], fake_clock)
         with pytest.raises(NetworkFailure):
             session.search_issues("q", limit=5)
-        assert len(transport.requests) == 2  # probe + single attempt
+        assert len(transport.requests) == 1  # single attempt
 
     def test_retry_after_honored_on_403(self, fake_clock):
         replies = [
@@ -458,7 +454,7 @@ class TestRetryPolicy:
             session.search_issues("q", limit=5)
 
     def test_timeout_is_transient(self, fake_clock):
-        replies = [_TransientFailure("timed out"), reply(200, {"total_count": 0, "items": []})]
+        replies = [NetworkFailure("timed out"), reply(200, {"total_count": 0, "items": []})]
         session, _ = self._session(replies, fake_clock)
         assert session.search_issues("q", limit=5) == []
 
@@ -527,7 +523,7 @@ class TestBudgetDefaults:
         assert fake_clock.sleeps[0] >= 59
 
     def test_token_live_session_allows_thirty_per_minute(self, fake_clock):
-        script = [reply(200, rate_limit_payload())] + [self._search_reply()] * 30
+        script = [self._search_reply()] * 30
         session = open_session("t", mode="live", transport=ScriptedTransport(script),
                                clock=fake_clock.time, sleep=fake_clock.sleep)
         for _ in range(30):
@@ -601,24 +597,22 @@ class TestLiveTransportErrors:
         return SimpleNamespace(status_code=200, headers={}, content=json.dumps(payload).encode())
 
     def test_connection_error_retried_then_gives_up(self, monkeypatch, fake_clock):
-        outcomes = [self._response(rate_limit_payload())]
-        outcomes += [requests.ConnectionError("connection refused")] * 5
+        outcomes = [requests.ConnectionError("connection refused")] * 5
         session, calls = self._session(monkeypatch, fake_clock, outcomes)
         with pytest.raises(NetworkFailure, match="after 4 retries"):
             session.search_issues("q", limit=5)
-        assert len(calls) == 6  # probe + 1 initial + 4 retries
+        assert len(calls) == 5  # 1 initial + 4 retries
         assert len(fake_clock.sleeps) == 4
         assert all(call["timeout"] == REQUEST_TIMEOUT for call in calls)
 
     def test_one_connection_error_then_success(self, monkeypatch, fake_clock):
         outcomes = [
-            self._response(rate_limit_payload()),
             requests.ConnectionError("connection reset"),
             self._response({"total_count": 0, "items": []}),
         ]
         session, calls = self._session(monkeypatch, fake_clock, outcomes)
         assert session.search_issues("q", limit=5) == []
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert len(fake_clock.sleeps) == 1
 
 

@@ -4,7 +4,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from conftest import ScriptedTransport, rate_limit_payload, reply
+from conftest import ScriptedTransport, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift import pipeline
@@ -354,7 +354,6 @@ class TestRun:
         broken = make_issue(30, 3, title="tf.function broken", comments=2)
         later = make_issue(40, 4, title="tf.function later", comments=1)
         transport = ScriptedTransport([
-            reply(200, rate_limit_payload()),
             reply(200, {"total_count": 3, "incomplete_results": False,
                         "items": [good, broken, later]}),
             reply(200, [make_comment(100, "tf.function fixing")]),
@@ -382,7 +381,6 @@ class TestRun:
     def test_malformed_search_item_raises_network_failure(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=0)
         transport = ScriptedTransport([
-            reply(200, rate_limit_payload()),
             reply(200, {"total_count": 2, "incomplete_results": False,
                         "items": [good, bad_item]}),
         ])
@@ -428,8 +426,6 @@ class RoutedTransport:
 
     def request(self, method, url, params=None):
         path = urlsplit(url).path
-        if path == "/rate_limit":
-            return reply(200, rate_limit_payload())
         if path == "/search/issues":
             return reply(200, {"total_count": len(self.issues), "incomplete_results": False,
                                "items": self.issues})
@@ -455,7 +451,6 @@ class TestStreamedRun:
         """A 401 is not one issue's failure: the first issue in search order raises it."""
         denied = reply(401, {"message": "Bad credentials"})
         transport = ScriptedTransport([
-            reply(200, rate_limit_payload()),
             reply(200, {"total_count": 2, "incomplete_results": False, "items": [
                 make_issue(10, 1, title="tf.function a", comments=1),
                 make_issue(20, 2, title="tf.function b", comments=1),
