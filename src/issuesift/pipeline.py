@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .classifier import ModelFile, classify_lines
 from .errors import GitHubError, InvalidToken, UnknownCategory
@@ -64,15 +65,17 @@ class OmittedIssue:
             raise ValueError(f"unknown omission reason {self.reason!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ClassifiedRecord:
-    """One classified comment line of a kept issue: what its CSV row reads, no more.
+class ClassifiedRecord(NamedTuple):
+    """One classified comment line of a kept issue: its results-CSV row, field for field.
 
-    Built from ``classify_lines``' ``(category, confidence)`` pair; the score
-    vector is never built on this path.
+    The fields are the results columns in order, so the first seven are the
+    row and ``confidence`` is the optional last column. The issue is carried
+    only as its three leading columns.
     """
 
-    issue: IssueRef
+    id: int
+    html_url: str
+    api_url: str
     comment_id: int
     line_index: int
     comment_line: str
@@ -191,9 +194,10 @@ def run(
                     omitted.append(OmittedIssue(issue=issue, reason="no_strict_match"))
                     continue
             lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
+            issue_id, html_url, api_url = issue.id, issue.html_url, issue.api_url
             records = [
-                ClassifiedRecord(issue, line.comment_id, line.line_index, line.rendered,
-                                 category, confidence)
+                ClassifiedRecord(issue_id, html_url, api_url, line.comment_id, line.line_index,
+                                 line.rendered, category, confidence)
                 for line, (category, confidence) in classify_lines(model, lines)
             ]
             grouped.append((issue, records))
@@ -201,7 +205,7 @@ def run(
     records, category_omitted = apply_category_filters(grouped, spec)
     omitted.extend(category_omitted)
 
-    records.sort(key=attrgetter("issue.id", "comment_id", "line_index"))
+    records.sort(key=itemgetter(0, 3, 4))  # (id, comment_id, line_index); ties keep thread order
     omitted.sort(key=lambda o: o.issue.id)
 
     per_category = {name: 0 for name in model.taxonomy}

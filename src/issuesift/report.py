@@ -13,7 +13,7 @@ import os
 from .errors import IoFailure
 from .pipeline import OMISSION_REASONS, ClassifiedRecord, OmittedIssue, RunSummary
 
-RESULT_COLUMNS = ("id", "html_url", "api_url", "comment_id", "line_index", "comment_line", "category")
+RESULT_COLUMNS = ClassifiedRecord._fields[:-1]
 OMITTED_COLUMNS = ("id", "html_url", "api_url", "reason")
 
 
@@ -53,15 +53,9 @@ def _write_tables(*tables) -> list[int]:
 
 
 def _results_table(records, path, include_confidence):
-    header = RESULT_COLUMNS + ("confidence",) if include_confidence else RESULT_COLUMNS
-    def rows():
-        for r in records:
-            row = [r.issue.id, r.issue.html_url, r.issue.api_url, r.comment_id, r.line_index,
-                   r.comment_line, r.category]
-            if include_confidence:
-                row.append(f"{r.confidence:.4f}")
-            yield row
-    return path, header, rows()
+    if include_confidence:
+        return path, ClassifiedRecord._fields, ((*r[:-1], f"{r.confidence:.4f}") for r in records)
+    return path, RESULT_COLUMNS, (r[:-1] for r in records)
 
 
 def _omitted_table(omitted, path):

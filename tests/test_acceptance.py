@@ -247,7 +247,7 @@ def test_c6_conservation_and_cap(tmp_path):
         records, omitted, summary = run(spec, session, model, PREP)
         assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
         assert summary.issues_searched == min(len(issues), limit)
-        processed_ids = {r.issue.id for r in records} | {o.issue.id for o in omitted}
+        processed_ids = {r.id for r in records} | {o.issue.id for o in omitted}
         assert len(processed_ids) <= limit <= 1000
         # every searched issue appears exactly once: as rows of a classified
         # issue or as exactly one omission
@@ -255,7 +255,7 @@ def test_c6_conservation_and_cap(tmp_path):
         omitted_ids = [o.issue.id for o in omitted]
         assert len(omitted_ids) == len(set(omitted_ids))
         assert set(omitted_ids) <= searched_ids
-        assert {r.issue.id for r in records} <= searched_ids - set(omitted_ids)
+        assert {r.id for r in records} <= searched_ids - set(omitted_ids)
 
 
 @criterion(7, "strict-match soundness on randomized fixtures; none omitted when disabled")

@@ -1,5 +1,7 @@
+import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 import requests
 
+from conftest import GOLDEN_DIR
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 import issuesift
@@ -503,6 +506,12 @@ class TestMain:
         assert code == 0
         header = results.read_text(encoding="utf-8").splitlines()[0]
         assert header.endswith(",confidence")
+        with open(results, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        with open(GOLDEN_DIR / "results.csv", encoding="utf-8", newline="") as handle:
+            golden = list(csv.reader(handle))
+        assert [row[:-1] for row in rows] == golden
+        assert all(re.fullmatch(r"[01]\.\d{4}", row[-1]) for row in rows[1:])
 
     # Exit status and stderr prefix of every error type, as the README lists them.
     EXIT_TABLE = {

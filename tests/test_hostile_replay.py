@@ -164,5 +164,5 @@ def test_hostile_replay_keeps_invariants_or_fails_cleanly(mutations):
         assert len(set(searched)) == len(searched) == summary.issues_searched
         assert len(set(omitted_ids)) == len(omitted_ids) == summary.issues_omitted
         assert set(omitted_ids) <= set(searched)
-        assert {r.issue.id for r in records} <= set(searched) - set(omitted_ids)
+        assert {r.id for r in records} <= set(searched) - set(omitted_ids)
         assert summary.issues_classified == len(searched) - len(omitted_ids)

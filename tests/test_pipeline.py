@@ -126,7 +126,8 @@ def classified(issue, category, comment_id=100, line_index=0):
     token = {"Solution Discussion": "fixing", "Social Discussion": "cheers", "Usage": "blank"}[category]
     prediction = predict_line(model, (token,))
     assert prediction.category == category
-    return ClassifiedRecord(issue=issue, comment_id=comment_id, line_index=line_index,
+    return ClassifiedRecord(id=issue.id, html_url=issue.html_url, api_url=issue.api_url,
+                            comment_id=comment_id, line_index=line_index,
                             comment_line=token, category=prediction.category,
                             confidence=prediction.confidence)
 
@@ -235,7 +236,7 @@ class TestRun:
         session = open_session(None, mode="replay", fixture_dir=composition_fixture(tmp_path))
         spec = QuerySpec(query="tf.function", limit=1000)
         records, omitted, summary = run(spec, session, keyword_model(), PREP)
-        assert {r.issue.id for r in records} == {10}
+        assert {r.id for r in records} == {10}
         assert {(o.issue.id, o.reason) for o in omitted} == {
             (20, "no_discussion"), (30, "no_strict_match"),
         }
@@ -249,7 +250,7 @@ class TestRun:
         spec = QuerySpec(query="tf.function", limit=1)
         records, omitted, summary = run(spec, session, keyword_model(), PREP)
         assert summary.issues_searched == 1
-        assert {r.issue.id for r in records} == {10}
+        assert {r.id for r in records} == {10}
 
     def test_outputs_sorted_and_deterministic(self, tmp_path):
         fixture = composition_fixture(tmp_path)
@@ -262,8 +263,33 @@ class TestRun:
         second = once()
         assert first == second
         records = first[0]
-        keys = [(r.issue.id, r.comment_id, r.line_index) for r in records]
+        keys = [(r.id, r.comment_id, r.line_index) for r in records]
         assert keys == sorted(keys)
+
+    def test_sort_ties_keep_thread_order(self, tmp_path):
+        # Two comments share an id, so their lines tie on (id, comment_id,
+        # line_index); the earlier one's text sorts after the later one's.
+        first = make_issue(20, 2, comments=3)
+        second = make_issue(10, 1, comments=1)
+        fixture = write_fixture(
+            tmp_path / "fx", query="anything", issues=[first, second],
+            comments_by_id={
+                20: [make_comment(201, "zeta fixing\nzeta cheers"),
+                     make_comment(201, "alpha cheers"),
+                     make_comment(200, "beta blank")],
+                10: [make_comment(100, "gamma fixing")],
+            },
+        )
+        session = open_session(None, mode="replay", fixture_dir=fixture)
+        spec = QuerySpec(query="anything", strict_match=False)
+        records, _, _ = run(spec, session, keyword_model(), PREP)
+        assert [(r.id, r.comment_id, r.line_index, r.comment_line) for r in records] == [
+            (10, 100, 0, "gamma fixing"),
+            (20, 200, 0, "beta blank"),
+            (20, 201, 0, "zeta fixing"),
+            (20, 201, 0, "alpha cheers"),
+            (20, 201, 1, "zeta cheers"),
+        ]
 
     def test_fetch_failure_degrades_to_omission(self, tmp_path):
         good = make_issue(10, 1, title="tf.function ok", comments=1)
@@ -278,7 +304,7 @@ class TestRun:
         session = open_session(None, mode="replay", fixture_dir=tmp_path / "fx")
         records, omitted, summary = run(QuerySpec(query="tf.function"), session,
                                         keyword_model(), PREP)
-        assert {r.issue.id for r in records} == {10}
+        assert {r.id for r in records} == {10}
         assert [(o.issue.id, o.reason) for o in omitted] == [(20, "fetch_failed")]
         assert summary.per_reason["fetch_failed"] == 1
 
@@ -286,7 +312,7 @@ class TestRun:
         session = open_session(None, mode="replay", fixture_dir=composition_fixture(tmp_path))
         spec = QuerySpec(query="tf.function", strict_match=False)
         records, omitted, _ = run(spec, session, keyword_model(), PREP)
-        assert {r.issue.id for r in records} == {10, 30}
+        assert {r.id for r in records} == {10, 30}
         assert all(o.reason != "no_strict_match" for o in omitted)
 
     def test_comment_scope_drops_nonmatching_comments(self, tmp_path):
@@ -330,7 +356,7 @@ class TestRun:
         session = open_session(None, mode="replay", fixture_dir=composition_fixture(tmp_path))
         spec = QuerySpec(query="tf.function")
         records, omitted, summary = run(spec, session, keyword_model(), PREP)
-        classified_ids = {r.issue.id for r in records}
+        classified_ids = {r.id for r in records}
         omitted_ids = {o.issue.id for o in omitted}
         assert not classified_ids & omitted_ids
         assert len(omitted) == len(omitted_ids)  # one omission per issue
@@ -365,7 +391,7 @@ class TestRun:
         records, omitted, summary = run(QuerySpec(query="tf.function"), session,
                                         keyword_model(), PREP)
         assert [(o.issue.id, o.reason) for o in omitted] == [(30, "fetch_failed")]
-        assert {r.issue.id for r in records} == {10, 40}
+        assert {r.id for r in records} == {10, 40}
         assert summary.issues_searched == 3
         assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
         assert not transport.replies
@@ -469,7 +495,7 @@ class TestStreamedRun:
 
         records, omitted, _ = self.run(RoutedTransport(2, comments), fake_clock)
         assert [(o.issue.id, o.reason) for o in omitted] == [(10, "fetch_failed")]
-        assert {r.issue.id for r in records} == {20}
+        assert {r.id for r in records} == {20}
 
     def test_first_issue_is_classified_before_the_last_thread_arrives(self, fake_clock,
                                                                       monkeypatch):
@@ -489,7 +515,7 @@ class TestStreamedRun:
         monkeypatch.setattr(pipeline, "classify_lines", classify_and_signal)
         records, omitted, _ = self.run(RoutedTransport(3, comments), fake_clock)
         assert waited == [True]
-        assert {r.issue.id for r in records} == {10, 20, 30} and omitted == []
+        assert {r.id for r in records} == {10, 20, 30} and omitted == []
 
     @pytest.mark.parametrize("failure", ["401", "processing"])
     def test_a_failure_stops_the_fetches_not_yet_started(self, failure, fake_clock, monkeypatch):
@@ -545,10 +571,10 @@ class TestSummaryInvariants:
             issue.id: {c.comment_id for c in session.fetch_comments(issue)}
             for issue in session.search_issues("tf.function", 1000)
         }
-        assert len({r.issue.id for r in records}) == 2
+        assert len({r.id for r in records}) == 2
         for r in records:
-            assert r.comment_id in threads[r.issue.id]
-        keys = [(r.issue.id, r.comment_id, r.line_index) for r in records]
+            assert r.comment_id in threads[r.id]
+        keys = [(r.id, r.comment_id, r.line_index) for r in records]
         assert len(set(keys)) == len(keys)
 
     def test_line_data_has_no_instance_dict(self, small_fixture_dir):

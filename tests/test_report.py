@@ -33,8 +33,9 @@ def read_rows(path):
 
 def record(rendered, category="Observed Bug Behavior", issue_id=415902593,
            comment_id=100, line_index=0, confidence=0.875):
-    return ClassifiedRecord(issue=issue_ref(issue_id=issue_id), comment_id=comment_id,
-                            line_index=line_index, comment_line=rendered,
+    issue = issue_ref(issue_id=issue_id)
+    return ClassifiedRecord(id=issue.id, html_url=issue.html_url, api_url=issue.api_url,
+                            comment_id=comment_id, line_index=line_index, comment_line=rendered,
                             category=category, confidence=confidence)
 
 
@@ -76,9 +77,9 @@ class TestWriteResults:
         rows = read_rows(path)
         assert len(rows) == 3
         for row, rec in zip(rows, records):
-            assert row["id"] == str(rec.issue.id)
-            assert row["html_url"] == rec.issue.html_url
-            assert row["api_url"] == rec.issue.api_url
+            assert row["id"] == str(rec.id)
+            assert row["html_url"] == rec.html_url
+            assert row["api_url"] == rec.api_url
             assert row["comment_id"] == str(rec.comment_id)
             assert row["line_index"] == str(rec.line_index)
             assert row["comment_line"] == rec.comment_line
@@ -193,7 +194,7 @@ def ref_write_results(records, path, include_confidence=False):
     writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(header)
     for r in records:
-        row = [r.issue.id, r.issue.html_url, r.issue.api_url, r.comment_id, r.line_index,
+        row = [r.id, r.html_url, r.api_url, r.comment_id, r.line_index,
                r.comment_line, r.category]
         if include_confidence:
             row.append(f"{r.confidence:.4f}")
