@@ -49,20 +49,17 @@ class QuerySpec:
             overlap = sorted(self.require_categories & self.forbid_categories)
             raise ValueError(f"require_categories and forbid_categories overlap: {overlap}")
 
-    def category_names(self) -> frozenset[str]:
-        return self.omit_categories | self.require_categories | self.forbid_categories
 
+class OmittedIssue(NamedTuple):
+    """An issue excluded from classification and why: its omitted-CSV row, field for field.
 
-@dataclass(frozen=True)
-class OmittedIssue:
-    """An issue excluded from classification and why."""
+    ``reason`` is one of ``OMISSION_REASONS``.
+    """
 
-    issue: IssueRef
+    id: int
+    html_url: str
+    api_url: str
     reason: str
-
-    def __post_init__(self):
-        if self.reason not in OMISSION_REASONS:
-            raise ValueError(f"unknown omission reason {self.reason!r}")
 
 
 class ClassifiedRecord(NamedTuple):
@@ -124,25 +121,20 @@ def strict_match(
 
 
 def apply_category_filters(
-    grouped: list[tuple[IssueRef, list[ClassifiedRecord]]],
+    records: list[ClassifiedRecord],
     spec: QuerySpec,
-) -> tuple[list[ClassifiedRecord], list[OmittedIssue]]:
-    """Issue-level require/forbid pass, then comment-level omission pass.
+) -> list[ClassifiedRecord] | None:
+    """Judge one issue by its classified rows: the rows kept, or None if it is category_filtered.
 
     An issue survives iff every required category appears on some line and no
-    line carries a forbidden category. On surviving issues, rows whose
+    line carries a forbidden category. On a surviving issue, rows whose
     category is in omit_categories are dropped; an issue left with zero rows
     still counts as classified.
     """
-    surviving: list[ClassifiedRecord] = []
-    omitted: list[OmittedIssue] = []
-    for issue, records in grouped:
-        categories = {r.category for r in records}
-        if spec.require_categories - categories or categories & spec.forbid_categories:
-            omitted.append(OmittedIssue(issue=issue, reason="category_filtered"))
-            continue
-        surviving.extend(r for r in records if r.category not in spec.omit_categories)
-    return surviving, omitted
+    categories = {r.category for r in records}
+    if spec.require_categories - categories or categories & spec.forbid_categories:
+        return None
+    return [r for r in records if r.category not in spec.omit_categories]
 
 
 def run(
@@ -160,7 +152,7 @@ def run(
     started. Output ordering is imposed once every issue is in, so results
     are deterministic regardless of completion order.
     """
-    for name in sorted(spec.category_names()):
+    for name in sorted(spec.omit_categories | spec.require_categories | spec.forbid_categories):
         if name not in model.taxonomy:
             raise UnknownCategory(
                 f"unknown category {name!r}; the model knows: {', '.join(model.taxonomy)}"
@@ -176,37 +168,38 @@ def run(
         except GitHubError:
             return issue, None
 
-    grouped: list[tuple[IssueRef, list[ClassifiedRecord]]] = []
+    records: list[ClassifiedRecord] = []
     omitted: list[OmittedIssue] = []
     with ThreadPoolExecutor(max_workers=session.parallelism) as pool:
         # map yields in search order, so the first failing issue is the one
         # that raises; leaving the loop cancels the fetches not yet started.
         for issue, comments in pool.map(fetch_one, issues):
+            issue_id, html_url, api_url = issue.id, issue.html_url, issue.api_url
             if comments is None:
-                omitted.append(OmittedIssue(issue=issue, reason="fetch_failed"))
+                omitted.append(OmittedIssue(issue_id, html_url, api_url, "fetch_failed"))
                 continue
             if len(comments) < spec.min_comments:
-                omitted.append(OmittedIssue(issue=issue, reason="no_discussion"))
+                omitted.append(OmittedIssue(issue_id, html_url, api_url, "no_discussion"))
                 continue
             if spec.strict_match:
                 comments, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
                 if not matched:
-                    omitted.append(OmittedIssue(issue=issue, reason="no_strict_match"))
+                    omitted.append(OmittedIssue(issue_id, html_url, api_url, "no_strict_match"))
                     continue
             lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
-            issue_id, html_url, api_url = issue.id, issue.html_url, issue.api_url
-            records = [
+            rows = [
                 ClassifiedRecord(issue_id, html_url, api_url, line.comment_id, line.line_index,
                                  line.rendered, category, confidence)
                 for line, (category, confidence) in classify_lines(model, lines)
             ]
-            grouped.append((issue, records))
-
-    records, category_omitted = apply_category_filters(grouped, spec)
-    omitted.extend(category_omitted)
+            kept = apply_category_filters(rows, spec)
+            if kept is None:
+                omitted.append(OmittedIssue(issue_id, html_url, api_url, "category_filtered"))
+                continue
+            records.extend(kept)
 
     records.sort(key=itemgetter(0, 3, 4))  # (id, comment_id, line_index); ties keep thread order
-    omitted.sort(key=lambda o: o.issue.id)
+    omitted.sort(key=itemgetter(0))
 
     per_category = {name: 0 for name in model.taxonomy}
     for record in records:

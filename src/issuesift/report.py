@@ -14,7 +14,7 @@ from .errors import IoFailure
 from .pipeline import OMISSION_REASONS, ClassifiedRecord, OmittedIssue, RunSummary
 
 RESULT_COLUMNS = ClassifiedRecord._fields[:-1]
-OMITTED_COLUMNS = ("id", "html_url", "api_url", "reason")
+OMITTED_COLUMNS = OmittedIssue._fields
 
 
 def _write_tables(*tables) -> list[int]:
@@ -58,11 +58,6 @@ def _results_table(records, path, include_confidence):
     return path, RESULT_COLUMNS, (r[:-1] for r in records)
 
 
-def _omitted_table(omitted, path):
-    rows = ([o.issue.id, o.issue.html_url, o.issue.api_url, o.reason] for o in omitted)
-    return path, OMITTED_COLUMNS, rows
-
-
 def write_results(records: list[ClassifiedRecord], path, include_confidence: bool = False) -> int:
     """Write the classified-results CSV; returns data rows written.
 
@@ -73,7 +68,7 @@ def write_results(records: list[ClassifiedRecord], path, include_confidence: boo
 
 def write_omitted(omitted: list[OmittedIssue], path) -> int:
     """Write the omitted-issues CSV; returns data rows written."""
-    return _write_tables(_omitted_table(omitted, path))[0]
+    return _write_tables((path, OMITTED_COLUMNS, omitted))[0]
 
 
 def write_report(records: list[ClassifiedRecord], omitted: list[OmittedIssue], results_path,
@@ -81,7 +76,7 @@ def write_report(records: list[ClassifiedRecord], omitted: list[OmittedIssue], r
     """Write the files of ``write_results`` and ``write_omitted`` as one commit: both are
     written before either replaces its old file. Returns the data rows of each."""
     return tuple(_write_tables(_results_table(records, results_path, include_confidence),
-                               _omitted_table(omitted, omitted_path)))
+                               (omitted_path, OMITTED_COLUMNS, omitted)))
 
 
 def render_summary(summary: RunSummary) -> str:

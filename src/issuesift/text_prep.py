@@ -189,21 +189,13 @@ def remove_stop_words(tokens: list[str], config: PrepConfig) -> list[str]:
     return [t for t in tokens if t in placeholders or t.lower() not in stops]
 
 
-@lru_cache(maxsize=1)
-def _default_config() -> PrepConfig:
-    return PrepConfig.default()
-
-
-def preprocess_comment(comment, config: PrepConfig | None = None) -> list[ProcessedLine]:
+def preprocess_comment(comment, config: PrepConfig) -> list[ProcessedLine]:
     """Full cleaning pipeline for one raw comment.
 
     Runs replace_tokens, splits into lines, normalizes and stop-filters each
     line, and drops lines left without tokens. Surviving lines are numbered
-    0..n-1 in their original order. Without a config, one shared
-    ``PrepConfig.default()`` is used.
+    0..n-1 in their original order.
     """
-    if config is None:
-        config = _default_config()
     issue_id, comment_id, stops = comment.issue_id, comment.comment_id, config.stop_words
     lines = []
     for raw_line in split_lines(replace_tokens(comment.body)):

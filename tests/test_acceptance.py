@@ -247,12 +247,12 @@ def test_c6_conservation_and_cap(tmp_path):
         records, omitted, summary = run(spec, session, model, PREP)
         assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
         assert summary.issues_searched == min(len(issues), limit)
-        processed_ids = {r.id for r in records} | {o.issue.id for o in omitted}
+        processed_ids = {r.id for r in records} | {o.id for o in omitted}
         assert len(processed_ids) <= limit <= 1000
         # every searched issue appears exactly once: as rows of a classified
         # issue or as exactly one omission
         searched_ids = {issue["id"] for issue in issues[:limit]}
-        omitted_ids = [o.issue.id for o in omitted]
+        omitted_ids = [o.id for o in omitted]
         assert len(omitted_ids) == len(set(omitted_ids))
         assert set(omitted_ids) <= searched_ids
         assert {r.id for r in records} <= searched_ids - set(omitted_ids)
@@ -270,7 +270,7 @@ def test_c7_strict_match_soundness(tmp_path):
                                         session, model, PREP)
         needle = query.lower()
         raw = {issue["id"]: issue for issue in issues}
-        omitted_ids = {o.issue.id for o in omitted}
+        omitted_ids = {o.id for o in omitted}
         searched_ids = {issue["id"] for issue in issues[:limit]}
         classified_ids = searched_ids - omitted_ids
         for issue_id in classified_ids:

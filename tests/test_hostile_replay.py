@@ -160,7 +160,7 @@ def test_hostile_replay_keeps_invariants_or_fails_cleanly(mutations):
         assert not isinstance(second, IssueSiftError) and second[3] == csvs  # determinism
 
         searched = [issue.id for issue in session(fixture).search_issues(QUERY, SPEC.limit)]
-        omitted_ids = [o.issue.id for o in omitted]
+        omitted_ids = [o.id for o in omitted]
         assert len(set(searched)) == len(searched) == summary.issues_searched
         assert len(set(omitted_ids)) == len(omitted_ids) == summary.issues_omitted
         assert set(omitted_ids) <= set(searched)

@@ -137,9 +137,7 @@ class TestApplyCategoryFilters:
         issue = issue_ref()
         records = [classified(issue, "Solution Discussion")]
         spec = QuerySpec(query="q", forbid_categories=frozenset({"Solution Discussion"}))
-        surviving, omitted = apply_category_filters([(issue, records)], spec)
-        assert surviving == []
-        assert [(o.issue.id, o.reason) for o in omitted] == [(1, "category_filtered")]
+        assert apply_category_filters(records, spec) is None
 
     def test_omit_drops_rows_but_keeps_issue(self):
         issue = issue_ref()
@@ -149,46 +147,36 @@ class TestApplyCategoryFilters:
             classified(issue, "Usage", comment_id=102),
         ]
         spec = QuerySpec(query="q", omit_categories=frozenset({"Social Discussion"}))
-        surviving, omitted = apply_category_filters([(issue, records)], spec)
-        assert len(surviving) == 2
-        assert all(r.category == "Usage" for r in surviving)
-        assert omitted == []
+        kept = apply_category_filters(records, spec)
+        assert kept == [records[0], records[2]]
 
     def test_empty_filters_identity(self):
         issue = issue_ref()
         records = [classified(issue, "Usage")]
-        surviving, omitted = apply_category_filters([(issue, records)], QuerySpec(query="q"))
-        assert surviving == records
-        assert omitted == []
+        assert apply_category_filters(records, QuerySpec(query="q")) == records
 
     def test_require_needs_every_category(self):
         issue = issue_ref()
         records = [classified(issue, "Usage")]
         spec = QuerySpec(query="q",
                          require_categories=frozenset({"Usage", "Solution Discussion"}))
-        surviving, omitted = apply_category_filters([(issue, records)], spec)
-        assert surviving == []
-        assert omitted[0].reason == "category_filtered"
+        assert apply_category_filters(records, spec) is None
 
     def test_require_satisfied(self):
         issue = issue_ref()
         records = [classified(issue, "Usage"), classified(issue, "Solution Discussion", comment_id=101)]
         spec = QuerySpec(query="q", require_categories=frozenset({"Usage"}))
-        surviving, omitted = apply_category_filters([(issue, records)], spec)
-        assert len(surviving) == 2 and omitted == []
+        assert apply_category_filters(records, spec) == records
 
     def test_zero_line_issue_fails_require(self):
-        issue = issue_ref()
         spec = QuerySpec(query="q", require_categories=frozenset({"Usage"}))
-        surviving, omitted = apply_category_filters([(issue, [])], spec)
-        assert omitted[0].reason == "category_filtered"
+        assert apply_category_filters([], spec) is None
 
     def test_issue_left_without_rows_stays_classified(self):
         issue = issue_ref()
         records = [classified(issue, "Social Discussion")]
         spec = QuerySpec(query="q", omit_categories=frozenset({"Social Discussion"}))
-        surviving, omitted = apply_category_filters([(issue, records)], spec)
-        assert surviving == [] and omitted == []
+        assert apply_category_filters(records, spec) == []
 
 
 class TestQuerySpecValidation:
@@ -237,13 +225,45 @@ class TestRun:
         spec = QuerySpec(query="tf.function", limit=1000)
         records, omitted, summary = run(spec, session, keyword_model(), PREP)
         assert {r.id for r in records} == {10}
-        assert {(o.issue.id, o.reason) for o in omitted} == {
+        assert {(o.id, o.reason) for o in omitted} == {
             (20, "no_discussion"), (30, "no_strict_match"),
         }
         assert summary.issues_searched == 3
         assert summary.issues_classified == 1
         assert summary.issues_omitted == 2
         assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
+
+    def test_every_omission_reason_with_a_kept_issue(self, tmp_path):
+        kept = make_issue(50, 5, title="tf.function kept", comments=1)
+        failed = make_issue(40, 4, title="tf.function unrecorded", comments=2)
+        relaxed = make_issue(30, 3, title="tf function spaced", comments=1)
+        silent = make_issue(20, 2, title="tf.function quiet", comments=0)
+        forbidden = make_issue(10, 1, title="tf.function fixed", comments=1)
+        searched = [relaxed, forbidden, kept, silent, failed]
+        writer = FixtureWriter(tmp_path / "fx")
+        writer.add_search_pages("tf.function", searched)
+        writer.add_comment_pages(kept, [make_comment(500, "tf.function cheers\nblank")])
+        writer.add_comment_pages(relaxed, [make_comment(300, "tf function without the period")])
+        writer.add_comment_pages(forbidden, [make_comment(100, "tf.function fixing")])
+        # No recording of the comments of `failed`, so fetching them fails.
+        session = open_session(None, mode="replay", fixture_dir=writer.write_manifest())
+        spec = QuerySpec(query="tf.function", forbid_categories=frozenset({"Solution Discussion"}))
+        records, omitted, summary = run(spec, session, keyword_model(), PREP)
+
+        record_ids, omitted_ids = {r.id for r in records}, [o.id for o in omitted]
+        assert record_ids == {50}
+        assert not record_ids & set(omitted_ids)
+        assert record_ids | set(omitted_ids) == {issue["id"] for issue in searched}
+        assert omitted == [
+            OmittedIssue(i["id"], i["html_url"], i["url"], reason) for i, reason in (
+                (forbidden, "category_filtered"), (silent, "no_discussion"),
+                (relaxed, "no_strict_match"), (failed, "fetch_failed"),
+            )
+        ]
+        assert [r.category for r in records] == ["Social Discussion", "Usage"]
+        assert (summary.issues_searched, summary.issues_classified, summary.issues_omitted) == (5, 1, 4)
+        assert summary.per_reason == dict.fromkeys(pipeline.OMISSION_REASONS, 1)
+        assert summary.per_category == {"Solution Discussion": 0, "Social Discussion": 1, "Usage": 1}
 
     def test_limit_one_processes_one(self, tmp_path):
         session = open_session(None, mode="replay", fixture_dir=composition_fixture(tmp_path))
@@ -305,7 +325,7 @@ class TestRun:
         records, omitted, summary = run(QuerySpec(query="tf.function"), session,
                                         keyword_model(), PREP)
         assert {r.id for r in records} == {10}
-        assert [(o.issue.id, o.reason) for o in omitted] == [(20, "fetch_failed")]
+        assert [(o.id, o.reason) for o in omitted] == [(20, "fetch_failed")]
         assert summary.per_reason["fetch_failed"] == 1
 
     def test_no_strict_match_mode_keeps_relaxed_hits(self, tmp_path):
@@ -350,14 +370,14 @@ class TestRun:
                          forbid_categories=frozenset({"Solution Discussion"}))
         records, omitted, _ = run(spec, session, keyword_model(), PREP)
         assert records == []
-        assert any(o.reason == "category_filtered" and o.issue.id == 10 for o in omitted)
+        assert any(o.reason == "category_filtered" and o.id == 10 for o in omitted)
 
     def test_conservation_per_stage_contracts(self, tmp_path):
         session = open_session(None, mode="replay", fixture_dir=composition_fixture(tmp_path))
         spec = QuerySpec(query="tf.function")
         records, omitted, summary = run(spec, session, keyword_model(), PREP)
         classified_ids = {r.id for r in records}
-        omitted_ids = {o.issue.id for o in omitted}
+        omitted_ids = {o.id for o in omitted}
         assert not classified_ids & omitted_ids
         assert len(omitted) == len(omitted_ids)  # one omission per issue
 
@@ -390,7 +410,7 @@ class TestRun:
                                clock=fake_clock.time, sleep=fake_clock.sleep)
         records, omitted, summary = run(QuerySpec(query="tf.function"), session,
                                         keyword_model(), PREP)
-        assert [(o.issue.id, o.reason) for o in omitted] == [(30, "fetch_failed")]
+        assert [(o.id, o.reason) for o in omitted] == [(30, "fetch_failed")]
         assert {r.id for r in records} == {10, 40}
         assert summary.issues_searched == 3
         assert summary.issues_classified + summary.issues_omitted == summary.issues_searched
@@ -494,7 +514,7 @@ class TestStreamedRun:
             return reply(status, {"message": "no"}) if number == 1 else thread_reply(number)
 
         records, omitted, _ = self.run(RoutedTransport(2, comments), fake_clock)
-        assert [(o.issue.id, o.reason) for o in omitted] == [(10, "fetch_failed")]
+        assert [(o.id, o.reason) for o in omitted] == [(10, "fetch_failed")]
         assert {r.id for r in records} == {20}
 
     def test_first_issue_is_classified_before_the_last_thread_arrives(self, fake_clock,
@@ -558,10 +578,6 @@ class TestSummaryInvariants:
         with pytest.raises(ValueError):
             RunSummary(issues_searched=3, issues_classified=1, issues_omitted=1,
                        per_category={}, per_reason={})
-
-    def test_omitted_issue_reason_validated(self):
-        with pytest.raises(ValueError):
-            OmittedIssue(issue=issue_ref(), reason="because")
 
     def test_records_come_from_their_own_issue_thread(self, small_fixture_dir):
         session = open_session(None, mode="replay", fixture_dir=small_fixture_dir)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from issuesift.errors import IoFailure
 from issuesift.github_client import GITHUB_API, IssueRef
-from issuesift.pipeline import ClassifiedRecord, OmittedIssue, RunSummary
+from issuesift.pipeline import OMISSION_REASONS, ClassifiedRecord, OmittedIssue, RunSummary
 from issuesift.report import RESULT_COLUMNS, render_summary, write_omitted, write_report, write_results
 
 
@@ -29,6 +29,11 @@ def issue_ref(issue_id=415902593, number=26104):
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def omission(reason, issue_id=415902593, number=26104):
+    issue = issue_ref(issue_id=issue_id, number=number)
+    return OmittedIssue(issue.id, issue.html_url, issue.api_url, reason)
 
 
 def record(rendered, category="Observed Bug Behavior", issue_id=415902593,
@@ -149,7 +154,7 @@ class TestReplaceOnSuccess:
 class TestWriteReport:
     def test_same_bytes_as_the_two_writers(self, tmp_path):
         records = [record("first, line"), record("second", line_index=1)]
-        omitted = [OmittedIssue(issue=issue_ref(issue_id=5, number=5), reason="no_discussion")]
+        omitted = [omission("no_discussion", issue_id=5, number=5)]
         counts = write_report(records, omitted, tmp_path / "r.csv", tmp_path / "o.csv", True)
         assert counts == (2, 1)
         write_results(records, tmp_path / "r2.csv", True)
@@ -160,7 +165,7 @@ class TestWriteReport:
     def old_files(self, tmp_path):
         results, omitted = tmp_path / "results.csv", tmp_path / "omitted.csv"
         write_results([record("old row")], results)
-        write_omitted([OmittedIssue(issue=issue_ref(), reason="fetch_failed")], omitted)
+        write_omitted([omission("fetch_failed")], omitted)
         return results, omitted, results.read_bytes(), omitted.read_bytes()
 
     def test_omitted_path_a_directory_replaces_neither_file(self, tmp_path):
@@ -177,7 +182,7 @@ class TestWriteReport:
         results, omitted, results_before, omitted_before = self.old_files(tmp_path)
 
         def omissions_then_disk_error():
-            yield OmittedIssue(issue=issue_ref(), reason="no_discussion")
+            yield omission("no_discussion")
             raise OSError("disk full")
 
         with pytest.raises(IoFailure, match="disk full"):
@@ -204,10 +209,11 @@ def ref_write_results(records, path, include_confidence=False):
 
 
 _CSV_FRAGMENTS = list('ab ,"\'\n\r\téß日½') + ['""', ", ", "\r\n", "CODE", "tf.function"]
+CSV_TEXT = st.lists(st.sampled_from(_CSV_FRAGMENTS), max_size=12).map("".join)
 RECORDS = st.lists(
     st.builds(
         record,
-        st.lists(st.sampled_from(_CSV_FRAGMENTS), max_size=12).map("".join),
+        CSV_TEXT,
         category=st.sampled_from(["Usage", "Social Discussion", "Observed Bug Behavior"]),
         issue_id=st.integers(1, 10**12),
         comment_id=st.integers(1, 10**12),
@@ -229,10 +235,35 @@ class TestStreamedWriteMatchesReference:
             assert streamed.read_bytes() == reference.read_bytes()
 
 
+def ref_write_omitted(omitted, path):
+    """The omitted writer as a plain csv.writer over each omission's fields by name."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(["id", "html_url", "api_url", "reason"])
+        for o in omitted:
+            writer.writerow([o.id, o.html_url, o.api_url, o.reason])
+    return len(omitted)
+
+
+OMISSIONS = st.lists(
+    st.builds(OmittedIssue, st.integers(1, 10**12), CSV_TEXT, CSV_TEXT,
+              st.sampled_from(OMISSION_REASONS)),
+    max_size=8,
+)
+
+
 class TestWriteOmitted:
+    @given(OMISSIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_plain_csv_writer(self, omitted):
+        with tempfile.TemporaryDirectory() as tmp:
+            written, reference = Path(tmp, "omitted.csv"), Path(tmp, "reference.csv")
+            assert write_omitted(omitted, written) == ref_write_omitted(omitted, reference)
+            assert written.read_bytes() == reference.read_bytes()
+
     def test_single_omission_row(self, tmp_path):
         path = tmp_path / "omitted.csv"
-        count = write_omitted([OmittedIssue(issue=issue_ref(), reason="no_strict_match")], path)
+        count = write_omitted([omission("no_strict_match")], path)
         assert count == 1
         rows = read_rows(path)
         assert rows[0]["reason"] == "no_strict_match"
@@ -245,9 +276,9 @@ class TestWriteOmitted:
 
     def test_mixed_reasons_preserve_order(self, tmp_path):
         omissions = [
-            OmittedIssue(issue=issue_ref(issue_id=5, number=5), reason="no_discussion"),
-            OmittedIssue(issue=issue_ref(issue_id=6, number=6), reason="fetch_failed"),
-            OmittedIssue(issue=issue_ref(issue_id=7, number=7), reason="category_filtered"),
+            omission("no_discussion", issue_id=5, number=5),
+            omission("fetch_failed", issue_id=6, number=6),
+            omission("category_filtered", issue_id=7, number=7),
         ]
         path = tmp_path / "omitted.csv"
         write_omitted(omissions, path)

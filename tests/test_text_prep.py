@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issuesift import text_prep
 from issuesift.github_client import RawComment
 from issuesift.text_prep import (
     PrepConfig,
@@ -335,12 +334,3 @@ class TestMatchesReference:
     def test_preprocess_comment(self, text, config):
         raw = comment(text)
         assert preprocess_comment(raw, config) == ref_preprocess_comment(raw, config)
-
-
-class TestDefaultConfig:
-    def test_calls_without_config_share_one_default(self):
-        raw = comment("Fix the flaky test")
-        assert preprocess_comment(raw) == preprocess_comment(raw, PrepConfig.default())
-        shared = text_prep._default_config()
-        assert shared is text_prep._default_config()
-        assert shared == PrepConfig.default()
