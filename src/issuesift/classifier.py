@@ -18,6 +18,7 @@ from importlib import resources
 from itertools import repeat
 from operator import add, mul
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     EmptyCategory,
@@ -169,8 +170,7 @@ class ModelFile:
         return {token: columns[index] for token, index in self.vocabulary.items()}
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Chosen category plus the full log-score vector and a softmax confidence."""
 
     category: str
@@ -196,6 +196,8 @@ class LabeledCorpus:
 def _model_from_document(doc: object, source: str) -> ModelFile:
     if not isinstance(doc, dict):
         raise SchemaViolation("document", f"{source} is not a JSON object")
+    if "format_version" in doc:
+        _check_version(doc["format_version"])  # first: another version may have another layout
     top_level_fields = {f.name for f in fields(ModelFile)}
     missing = top_level_fields - doc.keys()
     if missing:
@@ -203,7 +205,6 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
     extra = doc.keys() - top_level_fields
     if extra:
         raise SchemaViolation(sorted(extra)[0], "unexpected top-level field")
-    _check_version(doc["format_version"])  # first: another version may have another layout
     taxonomy_field = doc["taxonomy"]
     if not isinstance(taxonomy_field, list) or not all(isinstance(n, str) for n in taxonomy_field):
         raise SchemaViolation("taxonomy", "must be a list of strings")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import pipeline, report
 from .classifier import Taxonomy, load_default_model, load_model
@@ -34,8 +34,7 @@ _FIELD_FLAGS = {
 }
 
 
-@dataclass
-class CliConfig:
+class CliConfig(NamedTuple):
     """Everything main() needs, resolved from argv plus the environment."""
 
     spec: QuerySpec | None  # None in interactive mode, whose spec is built after the prompts

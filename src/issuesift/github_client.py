@@ -24,8 +24,8 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 from .errors import (
@@ -76,8 +76,7 @@ def check_search(query: str, limit: int, sort: str, order: str) -> None:
         raise ValueError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 
 
-@dataclass(frozen=True)
-class IssueRef:
+class IssueRef(NamedTuple):
     """One GitHub issue hit from search, read from the search item's ``id``, ``title``,
     ``body``, ``html_url``, ``url``, ``comments_url`` and ``comments``; no other key is read."""
 
@@ -89,17 +88,8 @@ class IssueRef:
     comments_url: str
     comment_count: int
 
-    def __post_init__(self):
-        if self.id <= 0:
-            raise ValueError(f"issue id must be positive, got {self.id}")
-        if self.comment_count < 0:
-            raise ValueError(f"comment_count must be >= 0, got {self.comment_count}")
-        if not self.html_url or not self.api_url or not self.comments_url:
-            raise ValueError("html_url, api_url and comments_url must be non-empty")
 
-
-@dataclass(frozen=True)
-class RawComment:
+class RawComment(NamedTuple):
     """One unprocessed comment body, byte-exact as received."""
 
     issue_id: int
@@ -109,8 +99,7 @@ class RawComment:
     created_at: str
 
 
-@dataclass
-class TransportReply:
+class TransportReply(NamedTuple):
     status: int
     headers: dict[str, str]
     body: bytes
@@ -288,18 +277,22 @@ def _fields(item, what: str):
 
 def _issue_from_item(item) -> IssueRef:
     field = _fields(item, "search item")
-    try:
-        return IssueRef(
-            id=field("id", int, required=True),
-            title=field("title"),
-            body=field("body"),
-            html_url=field("html_url"),
-            api_url=field("url"),
-            comments_url=field("comments_url"),
-            comment_count=field("comments", int),
-        )
-    except ValueError as exc:  # IssueRef's own invariants
-        raise NetworkFailure(f"search item: {exc}") from exc
+    issue = IssueRef(
+        id=field("id", int, required=True),
+        title=field("title"),
+        body=field("body"),
+        html_url=field("html_url"),
+        api_url=field("url"),
+        comments_url=field("comments_url"),
+        comment_count=field("comments", int),
+    )
+    if issue.id <= 0:
+        raise NetworkFailure(f"search item: issue id must be positive, got {issue.id}")
+    if issue.comment_count < 0:
+        raise NetworkFailure(f"search item: comment_count must be >= 0, got {issue.comment_count}")
+    if not issue.html_url or not issue.api_url or not issue.comments_url:
+        raise NetworkFailure("search item: html_url, api_url and comments_url must be non-empty")
+    return issue
 
 
 def _comment_from_item(item, issue_id: int) -> RawComment:

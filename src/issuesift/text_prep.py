@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 CODE_TOKEN = "CODE"
 URL_TOKEN = "URL"
@@ -65,18 +66,13 @@ class PrepConfig:
         return cls(stop_words=default_stop_words().union(extra_stop_words))
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessedLine:
+class ProcessedLine(NamedTuple):
     """One cleaned, tokenized comment line ready for classification."""
 
     issue_id: int
     comment_id: int
     line_index: int
     tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValueError("ProcessedLine requires at least one token")
 
     @property
     def rendered(self) -> str:

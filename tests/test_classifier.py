@@ -310,6 +310,13 @@ class TestSerialization:
         with pytest.raises(UnsupportedVersion):
             load_model(self._write(tmp_path, doc))
 
+    def test_other_version_with_another_layout_is_unsupported(self, tmp_path):
+        doc = self._doc()
+        doc["format_version"] = 2
+        doc["labels"] = doc.pop("taxonomy")
+        with pytest.raises(UnsupportedVersion):
+            load_model(self._write(tmp_path, doc))
+
     def test_missing_field_rejected(self, tmp_path):
         doc = self._doc()
         del doc["bias"]

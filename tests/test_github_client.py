@@ -649,20 +649,10 @@ class TestCanonicalUrl:
         assert url == "https://x/y?a=1&b=2"
 
 
-class TestValidation:
-    def test_issue_ref_rejects_bad_id(self):
-        with pytest.raises(ValueError):
-            make_issue_ref(issue_id=0)
-
-    def test_issue_ref_rejects_negative_comments(self):
-        with pytest.raises(ValueError):
-            make_issue_ref(comment_count=-1)
-
-
-def make_issue_ref(issue_id=1, comment_count=0):
+def make_issue_ref(comment_count=0):
     from issuesift.github_client import IssueRef
     return IssueRef(
-        id=issue_id, title="t", body="",
+        id=1, title="t", body="",
         html_url="https://github.com/o/r/issues/1",
         api_url="https://api.github.com/repos/o/r/issues/1",
         comments_url="https://api.github.com/repos/o/r/issues/1/comments",

@@ -423,7 +423,10 @@ class TestRun:
         {**make_issue(20, 2), "title": 5},
         {**make_issue(20, 2, title="tf.function"), "comments": -1},
         {**make_issue(20, 2, title="tf.function"), "comments_url": None},
-    ], ids=["no-id", "string", "bool-id", "int-title", "negative-comments", "null-comments-url"])
+        {**make_issue(20, 2, title="tf.function"), "id": 0},
+        {**make_issue(20, 2, title="tf.function"), "html_url": ""},
+    ], ids=["no-id", "string", "bool-id", "int-title", "negative-comments", "null-comments-url",
+            "zero-id", "empty-html-url"])
     def test_malformed_search_item_raises_network_failure(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=0)
         transport = ScriptedTransport([
@@ -598,7 +601,8 @@ class TestSummaryInvariants:
         prep = PrepConfig.default()
         records, _, _ = run(QuerySpec(query="tf.function"), session, load_default_model(), prep)
         issue = session.search_issues("tf.function", 1)[0]
-        lines = preprocess_comment(session.fetch_comments(issue)[0], prep)
+        comment = session.fetch_comments(issue)[0]
+        lines = preprocess_comment(comment, prep)
         assert records and lines
-        for instance in (records[0], lines[0]):
+        for instance in (records[0], lines[0], comment, issue):
             assert not hasattr(instance, "__dict__")

@@ -163,10 +163,6 @@ class TestConfig:
         assert all(word and not word.startswith("#") for word in stops)
         assert all(word == word.lower() for word in stops)
 
-    def test_processed_line_requires_tokens(self):
-        with pytest.raises(ValueError):
-            ProcessedLine(issue_id=1, comment_id=2, line_index=0, tokens=())
-
 
 _FRAGMENTS = list("abcXYZ @'\"`\n.:/-_#!") + [
     "http://", "https://ex.io/a", "```", "@bob", "CODE", "QUOTE", "URL", "SCREEN_NAME",
