@@ -197,9 +197,6 @@ class RateGate:
     """
 
     def __init__(self, *, clock, sleep, wait: bool, budgets: dict[str, tuple[int, float]]):
-        for kind, (count, _) in budgets.items():
-            if count < 1:
-                raise ValueError(f"{kind} budget must allow at least 1 request per window, got {count}")
         self.clock = clock
         self.sleep = sleep
         self.wait = wait
@@ -240,13 +237,13 @@ class RateGate:
 
 def _header_wait(value: str | None, since: float = 0.0) -> float | None:
     """Seconds from ``since`` to the header's number (a ``Retry-After`` wait, or an
-    ``x-ratelimit-reset`` epoch time), clamped to [0, MAX_HEADER_WAIT]; None if
-    the header is missing or not a finite number."""
+    ``x-ratelimit-reset`` epoch time), capped at MAX_HEADER_WAIT; None if the
+    header is missing, not a finite number, or not in the future."""
     try:
         wait = float(value) - since
     except (TypeError, ValueError):
         return None
-    return min(max(0.0, wait), MAX_HEADER_WAIT) if math.isfinite(wait) else None
+    return min(wait, MAX_HEADER_WAIT) if 0.0 < wait < math.inf else None
 
 
 def _fields(item, what: str):
@@ -290,8 +287,11 @@ def _issue_from_item(item) -> IssueRef:
         raise NetworkFailure(f"search item: issue id must be positive, got {issue.id}")
     if issue.comment_count < 0:
         raise NetworkFailure(f"search item: comment_count must be >= 0, got {issue.comment_count}")
-    if not issue.html_url or not issue.api_url or not issue.comments_url:
-        raise NetworkFailure("search item: html_url, api_url and comments_url must be non-empty")
+    if not issue.html_url or not issue.api_url:
+        raise NetworkFailure("search item: html_url and api_url must be non-empty")
+    # The comments URL is the one URL taken from a reply; the token goes only to GITHUB_API.
+    if not issue.comments_url.startswith(GITHUB_API + "/"):
+        raise NetworkFailure(f"search item: comments_url {issue.comments_url!r} is outside {GITHUB_API}")
     return issue
 
 
@@ -316,8 +316,7 @@ class Session:
     sleep and whether to wait out a rate limit.
     """
 
-    def __init__(self, *, transport, gate: RateGate, base_url: str, parallelism: int):
-        self.base_url = base_url.rstrip("/")
+    def __init__(self, *, transport, gate: RateGate, parallelism: int):
         self.parallelism = max(1, parallelism)
         self._transport = transport
         self._gate = gate
@@ -340,7 +339,7 @@ class Session:
         check_search(query, limit, sort, order)
         params = {"q": query} if sort == "best-match" else {"q": query, "sort": sort, "order": order}
         items = self._paged_items(
-            "search", f"{self.base_url}/search/issues", params, items_key="items",
+            "search", f"{GITHUB_API}/search/issues", params, items_key="items",
             error=f"search endpoint returned no 'items' list for {query!r}",
             max_pages=SEARCH_LIMIT_CAP // PAGE_SIZE,
         )
@@ -454,37 +453,30 @@ def open_session(
     mode: str = "live",
     fixture_dir: str | Path | None = None,
     *,
-    base_url: str = GITHUB_API,
     wait_on_rate_limit: bool = True,
     clock=None,
     sleep=None,
-    search_per_minute: int | None = None,
-    core_per_hour: int | None = None,
     parallelism: int = 4,
     transport=None,
 ) -> Session:
     """Create a live or replay session. Opening one sends no request.
 
     A rejected token fails the first request it is sent with, as InvalidToken.
-    Replay sessions are unthrottled by default (there is no API to protect);
-    passing an explicit ``search_per_minute``/``core_per_hour`` turns the gate
-    on, which simulated-clock tests use.
+    A live session takes GitHub's primary budgets for its credential; a replay
+    session is unthrottled (there is no API to protect).
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
+    budgets = {}
     if mode == "live":
         if transport is None:
             transport = LiveTransport(token)
-        if search_per_minute is None:
-            search_per_minute = AUTH_SEARCH_PER_MINUTE if token else ANON_SEARCH_PER_MINUTE
-        if core_per_hour is None:
-            core_per_hour = AUTH_CORE_PER_HOUR if token else ANON_CORE_PER_HOUR
+        budgets = {"search": (AUTH_SEARCH_PER_MINUTE if token else ANON_SEARCH_PER_MINUTE, 60.0),
+                   "core": (AUTH_CORE_PER_HOUR if token else ANON_CORE_PER_HOUR, 3600.0)}
     elif transport is None:
         if fixture_dir is None:
             raise FixtureNotFound("replay mode requires a fixture directory")
         transport = ReplayTransport(fixture_dir)
-    windows = (("search", search_per_minute, 60.0), ("core", core_per_hour, 3600.0))
-    budgets = {kind: (count, window) for kind, count, window in windows if count is not None}
     gate = RateGate(clock=clock or time.time, sleep=sleep or time.sleep, wait=wait_on_rate_limit,
                     budgets=budgets)
-    return Session(transport=transport, gate=gate, base_url=base_url, parallelism=parallelism)
+    return Session(transport=transport, gate=gate, parallelism=parallelism)

@@ -168,10 +168,8 @@ def test_c5_rate_limiter(tmp_path):
     fixture = write_fixture(tmp_path / "throttle", query="busy", issues=[issue])
     clock = FakeClock()
     transport = ClockedTransport(ReplayTransport(fixture), clock.time)
-    session = open_session(
-        "token", mode="replay", transport=transport,
-        clock=clock.time, sleep=clock.sleep, search_per_minute=30,
-    )
+    session = open_session("token", mode="live", transport=transport,
+                           clock=clock.time, sleep=clock.sleep)
     for _ in range(100):
         session.search_issues("busy", limit=1)
     times = sorted(at for at, _ in transport.requests)

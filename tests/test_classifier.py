@@ -297,6 +297,26 @@ class TestSerialization:
             load_model(self._write(tmp_path, doc))
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("field, value", [
+        ("taxonomy", "AB"),
+        ("taxonomy", ["A", 1]),
+        ("taxonomy", ["A", "a"]),
+        ("taxonomy", ["A", ""]),
+        ("vocabulary", {"bug": 0.0, "fix": 1, "thanks": 2}),
+        ("vocabulary", {"": 0, "fix": 1, "thanks": 2}),
+        ("metadata", {"k": 1}),
+    ], ids=["string-taxonomy", "int-category", "case-duplicate-category", "empty-category",
+            "float-vocab-index", "empty-vocab-token", "int-metadata-value"])
+    def test_bad_field_names_the_field(self, tmp_path, field, value):
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_model(self._write(tmp_path, {**self._doc(), field: value}))
+        assert excinfo.value.field == field
+
+    def test_top_level_array_names_document(self, tmp_path):
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_model(self._write(tmp_path, [self._doc()]))
+        assert excinfo.value.field == "document"
+
     def test_bad_bias_length_names_bias(self, tmp_path):
         doc = self._doc()
         doc["bias"] = doc["bias"] + [0.0]
@@ -404,6 +424,10 @@ class TestLoadCorpus:
         path.write_text("kind,words\nA,x\n", encoding="utf-8")
         with pytest.raises(SchemaViolation):
             load_corpus(path)
+
+    def test_directory_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            load_corpus(tmp_path)
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "corpus.csv"

@@ -82,13 +82,9 @@ class TestOpenSession:
         with pytest.raises(ValueError):
             open_session(None, mode="cached")
 
-    @pytest.mark.parametrize("budget, kind", [({"search_per_minute": 0}, "search"),
-                                              ({"core_per_hour": 0}, "core")])
-    def test_budget_below_one_rejected(self, budget, kind):
-        transport = ScriptedTransport([])
-        with pytest.raises(ValueError, match=f"^{kind} budget"):
-            open_session("token", mode="live", transport=transport, **budget)
-        assert transport.requests == []
+    def test_replay_without_fixture_dir_rejected(self):
+        with pytest.raises(FixtureNotFound):
+            open_session(None, mode="replay")
 
 
 class TestReplayManifest:
@@ -96,9 +92,11 @@ class TestReplayManifest:
     def fixture(tmp_path):
         return write_fixture(tmp_path / "fx", query="q", issues=[make_issue(10, 1)])
 
-    def test_manifest_not_an_object(self, tmp_path):
+    @pytest.mark.parametrize("manifest", ["[]", "{", "[" * 3000 + "]" * 3000],
+                             ids=["list", "truncated", "too-deep"])
+    def test_manifest_not_an_object(self, tmp_path, manifest):
         fixture = self.fixture(tmp_path)
-        (fixture / "manifest.json").write_text("[]", encoding="utf-8")
+        (fixture / "manifest.json").write_text(manifest, encoding="utf-8")
         with pytest.raises(FixtureNotFound):
             replay_session(fixture)
 
@@ -415,6 +413,8 @@ class TestRetryPolicy:
         ("inf", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),  # not a finite number: ignored
         ("-inf", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),
         ("nan", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),
+        ("0", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),  # not in the future: ignored
+        ("-5", SECONDARY_LIMIT_WAIT, SECONDARY_LIMIT_WAIT),
     ])
     def test_retry_after_capped_or_ignored(self, fake_clock, value, low, high):
         replies = [
@@ -440,7 +440,9 @@ class TestRetryPolicy:
     @pytest.mark.parametrize("limited", [
         reply(403, {"message": "You have exceeded a secondary rate limit"}),
         reply(429),
-    ], ids=["403-body", "429-bare"])
+        # a reset 5 s before the clock's start: already past, so no wait to take
+        reply(403, {}, headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "1699999995"}),
+    ], ids=["403-body", "429-bare", "403-stale-reset"])
     def test_rate_limit_without_wait_header_waits_a_minute(self, fake_clock, limited):
         session, _ = self._session([limited] * 5, fake_clock)
         with pytest.raises(RateLimited, match="after 4 retries"):

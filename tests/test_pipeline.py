@@ -93,6 +93,12 @@ class TestStrictMatch:
         assert matched is False
         assert kept == []
 
+    @pytest.mark.parametrize("query, scope", [("", "issue"), ("tf.function", "thread")],
+                             ids=["empty-query", "bad-scope"])
+    def test_bad_arguments_rejected(self, query, scope):
+        with pytest.raises(ValueError):
+            strict_match(issue_ref(), [raw_comment("tf.function")], query, scope)
+
 
 class TestHasDiscussion:
     """run() omits an issue as no_discussion iff it has fewer than min_comments."""
@@ -198,6 +204,11 @@ class TestQuerySpecValidation:
     def test_bad_scope(self):
         with pytest.raises(ValueError):
             QuerySpec(query="q", strict_scope="thread")
+
+    @pytest.mark.parametrize("option, value", [("sort", "stars"), ("order", "up")])
+    def test_bad_sort_or_order(self, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be one of"):
+            QuerySpec(query="q", **{option: value})
 
     def test_negative_min_comments(self):
         with pytest.raises(ValueError):
@@ -425,8 +436,12 @@ class TestRun:
         {**make_issue(20, 2, title="tf.function"), "comments_url": None},
         {**make_issue(20, 2, title="tf.function"), "id": 0},
         {**make_issue(20, 2, title="tf.function"), "html_url": ""},
+        {**make_issue(20, 2, title="tf.function", comments=1),
+         "comments_url": "https://evil.example/repos/o/r/issues/2/comments"},
+        {**make_issue(20, 2, title="tf.function", comments=1),
+         "comments_url": "https://api.github.com.evil.example/repos/o/r/issues/2/comments"},
     ], ids=["no-id", "string", "bool-id", "int-title", "negative-comments", "null-comments-url",
-            "zero-id", "empty-html-url"])
+            "zero-id", "empty-html-url", "foreign-comments-url", "lookalike-host"])
     def test_malformed_search_item_raises_network_failure(self, bad_item, fake_clock):
         good = make_issue(10, 1, title="tf.function ok", comments=0)
         transport = ScriptedTransport([
