@@ -34,11 +34,8 @@ from .report import render_summary, write_omitted, write_report, write_results
 from .text_prep import (
     PrepConfig,
     ProcessedLine,
-    normalize,
     preprocess_comment,
-    remove_stop_words,
     replace_tokens,
-    split_lines,
 )
 
 __version__ = "0.1.0"
@@ -63,16 +60,13 @@ __all__ = [
     "load_corpus",
     "load_default_model",
     "load_model",
-    "normalize",
     "open_session",
     "predict_line",
     "preprocess_comment",
-    "remove_stop_words",
     "render_summary",
     "replace_tokens",
     "run",
     "save_model",
-    "split_lines",
     "strict_match",
     "train_baseline",
     "write_omitted",

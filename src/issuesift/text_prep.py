@@ -1,10 +1,11 @@
 """Turns raw GitHub comment markdown into classifier-ready token lines.
 
 Code spans, URLs, @-mentions, and quoted spans collapse to the fixed
-placeholder tokens CODE, URL, SCREEN_NAME and QUOTE, which any model trained
-on the cleaned text relies on; the result is split on newlines, normalized,
-and run through the configured stop-word filter. Everything here is a pure
-function of (input, config), so callers may parallelize freely.
+placeholder tokens CODE, URL, SCREEN_NAME and QUOTE (`replace_tokens`), which
+any model trained on the cleaned text relies on. `preprocess_comment` runs the
+whole cleaning: that step, the line split, and each line's tokens under the
+configured stop list. Everything here is a pure function of (input, config),
+so callers may parallelize freely.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ _MENTION_RE = re.compile(r"(?<!\w)@[A-Za-z0-9-]{1,39}(?![\w-])")
 _DQUOTE_RE = re.compile(r'(?<!\w)"[^"\n]*"')
 _SQUOTE_RE = re.compile(r"(?<!\w)'[^'\n]*'")
 
-# Edge punctuation is stripped from tokens during normalization, except these
-# chars, which carry meaning in issue text (paths, "#123" refs, snake_case).
+# Edge punctuation is stripped from tokens, except these chars, which carry
+# meaning in issue text (paths, "#123" refs, snake_case).
 _EDGE_KEEP = frozenset("/#_")
 
 
@@ -57,7 +58,7 @@ class PrepConfig:
         # Stop lists are lowercase words, so "code" is fine: removal exempts placeholders.
         if not PLACEHOLDERS.isdisjoint(self.stop_words):
             raise ValueError(f"stop words {sorted(PLACEHOLDERS & self.stop_words)} are placeholder tokens")
-        # remove_stop_words compares lowercased tokens, so an uppercase stop word must be lowered too.
+        # _line_tokens lowercases tokens before the stop check, so stop words are lowered too.
         object.__setattr__(self, "stop_words", frozenset(w.lower() for w in self.stop_words))
 
     @classmethod
@@ -124,16 +125,6 @@ def replace_tokens(body: str) -> str:
     return text
 
 
-def split_lines(tokenized_body: str) -> list[str]:
-    """Split on newlines, strip carriage returns, drop blank lines."""
-    lines = []
-    for raw in tokenized_body.split("\n"):
-        line = raw.replace("\r", "").strip()
-        if line:
-            lines.append(line)
-    return lines
-
-
 def _strip_edges(token: str) -> str:
     start, end = 0, len(token)
     while start < end and not token[start].isalnum() and token[start] not in _EDGE_KEEP:
@@ -144,7 +135,12 @@ def _strip_edges(token: str) -> str:
 
 
 def _line_tokens(line: str, stops: frozenset[str]) -> list[str]:
-    """normalize(line), then remove_stop_words' rule under stops, in one pass."""
+    """A line's whitespace-split tokens, cleaned and stop-filtered.
+
+    Edges are stripped of punctuation except `/#_`, and a token left empty is
+    dropped. Placeholders are kept verbatim; any other token is lowercased and
+    dropped if it is in stops.
+    """
     placeholders = PLACEHOLDERS  # a local: read once per token
     out = []
     for token in line.split():
@@ -159,42 +155,23 @@ def _line_tokens(line: str, stops: frozenset[str]) -> list[str]:
         if core in placeholders:
             out.append(core)
         else:
-            # The stop rule for a lowercase non-placeholder: lowering it again
-            # would change nothing. Kept inline for speed; it must agree with
-            # remove_stop_words.
             core = core.lower()
             if core not in stops:
                 out.append(core)
     return out
 
 
-def normalize(line: str) -> list[str]:
-    """Whitespace-split and lowercase a line, stripping edge punctuation.
-
-    Interior apostrophes, periods, `/`, `#`, and `_` survive, so tokens like
-    "tf.function", "don't", and "issues/27120" come through intact.
-    Placeholder tokens are kept verbatim.
-    """
-    return _line_tokens(line, frozenset())
-
-
-def remove_stop_words(tokens: list[str], config: PrepConfig) -> list[str]:
-    """Drop tokens on the configured stop list; placeholders are never dropped."""
-    stops = config.stop_words
-    placeholders = PLACEHOLDERS
-    return [t for t in tokens if t in placeholders or t.lower() not in stops]
-
-
 def preprocess_comment(comment, config: PrepConfig) -> list[ProcessedLine]:
     """Full cleaning pipeline for one raw comment.
 
-    Runs replace_tokens, splits into lines, normalizes and stop-filters each
-    line, and drops lines left without tokens. Surviving lines are numbered
-    0..n-1 in their original order.
+    Runs replace_tokens, drops carriage returns, splits on newlines, turns
+    each line into tokens with _line_tokens, and drops lines left without
+    tokens. Surviving lines are numbered 0..n-1 in their original order.
     """
     issue_id, comment_id, stops = comment.issue_id, comment.comment_id, config.stop_words
     lines = []
-    for raw_line in split_lines(replace_tokens(comment.body)):
+    # "\r" goes before the split, so "a\rb" is the one token "ab".
+    for raw_line in replace_tokens(comment.body).replace("\r", "").split("\n"):
         tokens = _line_tokens(raw_line, stops)
         if not tokens:
             continue

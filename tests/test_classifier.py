@@ -142,6 +142,11 @@ class TestTrainBaseline:
         with pytest.raises(ValueError):
             LabeledCorpus((((), "A"),))
 
+    def test_metadata_adds_to_and_overrides_trainer_keys(self):
+        corpus = LabeledCorpus(((("x",), "A"), (("y",), "B")))
+        model = train_baseline(corpus, TWO_CLASS, alpha=1.0, metadata={"trainer": "mine", "source": "x"})
+        assert model.metadata == {"trainer": "mine", "alpha": "1.0", "source": "x"}
+
 
 class TestPredictLine:
     def test_hand_computed_argmax(self):
@@ -410,6 +415,12 @@ class TestLoadCorpus:
     def test_parses_category_and_text(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text('category,text\nA,fix bug\nB,thanks\n', encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.examples == ((("fix", "bug"), "A"), (("thanks",), "B"))
+
+    def test_row_without_tokens_skipped(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("category,text\nA,fix bug\nB,   \nB\nB,thanks\n", encoding="utf-8")
         corpus = load_corpus(path)
         assert corpus.examples == ((("fix", "bug"), "A"), (("thanks",), "B"))
 

@@ -9,11 +9,8 @@ from issuesift.text_prep import (
     PrepConfig,
     ProcessedLine,
     default_stop_words,
-    normalize,
     preprocess_comment,
-    remove_stop_words,
     replace_tokens,
-    split_lines,
 )
 
 CFG = PrepConfig(stop_words=frozenset())
@@ -22,6 +19,11 @@ CFG = PrepConfig(stop_words=frozenset())
 def comment(body, issue_id=1, comment_id=2):
     return RawComment(issue_id=issue_id, comment_id=comment_id, author_login="u",
                       body=body, created_at="2021-01-01T00:00:00Z")
+
+
+def token_lines(body, config=CFG):
+    """The token lists preprocess_comment gives for body, one per kept line."""
+    return [list(line.tokens) for line in preprocess_comment(comment(body), config)]
 
 
 class TestReplaceTokens:
@@ -59,62 +61,71 @@ class TestReplaceTokens:
 
 
 class TestSplitLines:
+    """The line split inside preprocess_comment."""
+
     def test_drops_blank_and_trims(self):
-        assert split_lines("a\n\n b \n") == ["a", "b"]
+        assert token_lines("a\n\n b \n") == [["a"], ["b"]]
 
     def test_empty_input(self):
-        assert split_lines("") == []
+        assert token_lines("") == []
 
     def test_single_line(self):
-        assert split_lines("CODE") == ["CODE"]
+        assert token_lines("CODE") == [["CODE"]]
 
     def test_carriage_returns_stripped(self):
-        assert split_lines("a\r\nb\r") == ["a", "b"]
+        assert token_lines("a\r\nb\r") == [["a"], ["b"]]
+
+    def test_carriage_return_inside_a_token_joins_it(self):
+        assert token_lines("a\rb") == [["ab"]]
 
 
 class TestNormalize:
+    """The token rule inside preprocess_comment, with no stop words."""
+
     def test_case_and_punctuation(self):
-        assert normalize("However, get US closer!") == ["however", "get", "us", "closer"]
+        assert token_lines("However, get US closer!") == [["however", "get", "us", "closer"]]
 
     def test_placeholders_exempt(self):
-        assert normalize("CODE stays CODE") == ["CODE", "stays", "CODE"]
+        assert token_lines("CODE stays CODE") == [["CODE", "stays", "CODE"]]
 
     def test_identifier_periods_survive(self):
-        assert normalize("use tf.function here.") == ["use", "tf.function", "here"]
+        assert token_lines("use tf.function here.") == [["use", "tf.function", "here"]]
 
     def test_interior_apostrophes_survive(self):
-        assert normalize("don't stop") == ["don't", "stop"]
+        assert token_lines("don't stop") == [["don't", "stop"]]
 
     def test_slash_hash_underscore_kept(self):
-        assert normalize("see issues/27120 #42 trace_on") == ["see", "issues/27120", "#42", "trace_on"]
+        assert token_lines("see issues/27120 #42 trace_on") == [["see", "issues/27120", "#42", "trace_on"]]
 
     def test_all_punct_token_dropped(self):
-        assert normalize("a !!! b") == ["a", "b"]
+        assert token_lines("a !!! b") == [["a", "b"]]
 
     def test_placeholder_with_edge_punct(self):
-        assert normalize("(CODE).") == ["CODE"]
+        assert token_lines("(CODE).") == [["CODE"]]
 
 
 class TestRemoveStopWords:
+    """The stop rule inside preprocess_comment."""
+
     def test_membership(self):
         cfg = PrepConfig(stop_words=frozenset({"this", "is", "a"}))
-        assert remove_stop_words(["this", "is", "a", "fix"], cfg) == ["fix"]
+        assert token_lines("this is a fix", cfg) == [["fix"]]
 
     def test_placeholder_never_removed(self):
         cfg = PrepConfig(stop_words=frozenset({"code"}))
-        assert remove_stop_words(["CODE"], cfg) == ["CODE"]
+        assert token_lines("CODE", cfg) == [["CODE"]]
 
     def test_empty(self):
         cfg = PrepConfig(stop_words=frozenset({"x"}))
-        assert remove_stop_words([], cfg) == []
+        assert token_lines("", cfg) == []
 
     def test_custom_words_augment(self):
         cfg = PrepConfig.default(frozenset({"nit"}))
-        assert remove_stop_words(["the", "nit", "fix"], cfg) == ["fix"]
+        assert token_lines("the nit fix", cfg) == [["fix"]]
 
     def test_uppercase_stop_word_matches_any_case(self):
         cfg = PrepConfig.default(frozenset({"LGTM"}))
-        assert remove_stop_words(["lgtm", "LGTM", "fix"], cfg) == ["fix"]
+        assert token_lines("lgtm LGTM fix", cfg) == [["fix"]]
 
 
 class TestPreprocessComment:
@@ -203,7 +214,7 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_stop_removal_never_drops_placeholders(self, tokens, stops):
         cfg = PrepConfig(stop_words=stops)
-        kept = remove_stop_words(tokens, cfg)
+        kept = [t for line in token_lines(" ".join(tokens), cfg) for t in line]
         for placeholder in ("CODE", "URL", "QUOTE", "SCREEN_NAME"):
             assert kept.count(placeholder) == tokens.count(placeholder)
 
@@ -277,9 +288,18 @@ def ref_remove_stop_words(tokens, config):
     return [t for t in tokens if t in _REF_PLACEHOLDERS or t.lower() not in config.stop_words]
 
 
+def ref_split_lines(tokenized_body):
+    lines = []
+    for raw in tokenized_body.split("\n"):
+        line = raw.replace("\r", "").strip()
+        if line:
+            lines.append(line)
+    return lines
+
+
 def ref_preprocess_comment(comment, config):
     lines = []
-    for raw_line in split_lines(ref_replace_tokens(comment.body)):
+    for raw_line in ref_split_lines(ref_replace_tokens(comment.body)):
         tokens = ref_remove_stop_words(ref_normalize(raw_line), config)
         if not tokens:
             continue
@@ -297,7 +317,7 @@ def ref_preprocess_comment(comment, config):
 _MIXED_FRAGMENTS = list("abcXYZéßÑ日½ @'\"`\n\r\t .,:;/-_#!?()*[]") + [
     "http://", "https://ex.io/a", "HTTP://x", "://", "```", "``", "@bob", "@@", "a@b.io",
     "don't", "'tis", "\"q\"", "CODE", "QUOTE", "URL", "SCREEN_NAME", "the", "The", "is",
-    "fix", "İ", "\u00a0", "\u3000", "ΟΔΟΣ", "Σ", "ΣΑ",
+    "Is", "fix", "FIX", "İ", "\u00a0", "\u3000", "ΟΔΟΣ", "Σ", "ΣΑ",
 ]
 MIXED_TEXT = st.lists(st.sampled_from(_MIXED_FRAGMENTS), max_size=40).map("".join)
 CONFIGS = st.sampled_from([
@@ -312,18 +332,6 @@ class TestMatchesReference:
     @settings(max_examples=500, deadline=None)
     def test_replace_tokens(self, text):
         assert replace_tokens(text) == ref_replace_tokens(text)
-
-    @given(MIXED_TEXT)
-    @settings(max_examples=500, deadline=None)
-    def test_normalize(self, text):
-        for line in text.split("\n"):
-            assert normalize(line) == ref_normalize(line)
-
-    @given(st.lists(st.sampled_from(_MIXED_FRAGMENTS + ["FIX", "Is", "the"]), max_size=12),
-           CONFIGS)
-    @settings(max_examples=300, deadline=None)
-    def test_remove_stop_words(self, tokens, config):
-        assert remove_stop_words(tokens, config) == ref_remove_stop_words(tokens, config)
 
     @given(MIXED_TEXT, CONFIGS)
     @settings(max_examples=500, deadline=None)
