@@ -136,6 +136,8 @@ def _query_spec(flags: argparse.Namespace, **answers) -> QuerySpec:
 def _say(stdout, text: str) -> None:
     """Write and flush, so a closed stdout fails here as a local I/O failure."""
     try:
+        if stdout is None:  # fd 1 was closed when the process started
+            raise OSError("it was closed at start")
         stdout.write(text)
         stdout.flush()
     except OSError as exc:
@@ -150,7 +152,7 @@ def _ask(stdin, stdout, prompt: str, parse):
     """
     while True:
         _say(stdout, prompt)
-        line = stdin.readline()
+        line = stdin.readline() if stdin is not None else ""  # None: fd 0 closed at start
         if line == "":
             raise Aborted("end of input")
         try:
@@ -165,7 +167,7 @@ def _menu(label: str, names) -> str:
 
 def _pick(names, answer: str, error: str) -> str:
     """The entry of ``names`` that ``answer`` gives by 1-based number or by name."""
-    if answer.isdigit() and 1 <= int(answer) <= len(names):
+    if answer.isdecimal() and 1 <= int(answer) <= len(names):
         return names[int(answer) - 1]
     if answer in names:
         return answer
@@ -264,7 +266,8 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
 def entry() -> None:
     status = main(sys.argv[1:], dict(os.environ))
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None: fd 1 was closed at start, and main has said so
+            sys.stdout.flush()
     except OSError:
         # stdout was closed early and main has said so: send what is still
         # buffered to devnull, so the flush at interpreter exit cannot fail

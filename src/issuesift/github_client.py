@@ -56,6 +56,8 @@ MAX_HEADER_WAIT = 3600.0  # GitHub's longest rate window
 # https://docs.github.com/en/rest/using-the-rest-api/rate-limits-for-the-rest-api
 SECONDARY_LIMIT_WAIT = 60.0
 REQUEST_TIMEOUT = 30.0
+# Comment threads a live session fetches at once; not yet measured against GitHub (item 4).
+LIVE_PARALLELISM = 4
 
 SORT_KEYS = ("best-match", "comments", "created", "updated", "reactions")
 SORT_ORDERS = ("asc", "desc")
@@ -163,7 +165,7 @@ class ReplayTransport:
             for entry in manifest.get("entries", []):
                 key = f"{entry['method'].upper()} {canonical_url(entry['url'])}"
                 self._entries.setdefault(key, deque()).append((entry["meta"], entry["body"]))
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FixtureNotFound(f"malformed fixture manifest {manifest_path}: {exc!r}") from exc
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
@@ -311,9 +313,9 @@ class Session:
     """Shared client for the issue-search and issue-comments endpoints.
 
     Thread-safe: all rate accounting funnels through one gate, so comment
-    fetches for distinct issues may run in parallel (``parallelism`` bounds
-    how many the pipeline starts at once). The gate also owns the clock, the
-    sleep and whether to wait out a rate limit.
+    fetches for distinct issues may run in parallel. ``parallelism`` bounds how
+    many the pipeline starts at once; ``open_session`` sets it from the mode.
+    The gate also owns the clock, the sleep and whether to wait out a rate limit.
     """
 
     def __init__(self, *, transport, gate: RateGate, parallelism: int):
@@ -395,10 +397,8 @@ class Session:
         """GET with retries, returning the decoded JSON and the reply's headers: each attempt
         returns, raises at once, or names the error to raise once retries run out and the
         wait before the next try."""
-        delay = BACKOFF_BASE
         for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
-            least = 0.0  # the shortest wait allowed when no header sets one
             try:
                 reply = self._transport.request("GET", url, params)
             except NetworkFailure as exc:
@@ -433,9 +433,8 @@ class Session:
                     if not self._gate.wait:
                         raise RateLimited(f"{url} answered {status} and waiting is disabled")
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
-                    retry_after = _header_wait(headers.get("retry-after"))
-                    wait = reset if retry_after is None else retry_after
-                    least = min(SECONDARY_LIMIT_WAIT * BACKOFF_FACTOR ** retries, MAX_HEADER_WAIT)
+                    wait = _header_wait(headers.get("retry-after")) or reset or min(
+                        SECONDARY_LIMIT_WAIT * BACKOFF_FACTOR ** retries, MAX_HEADER_WAIT)
                 elif 500 <= status < 600:
                     failure = NetworkFailure(f"{url} answered {status} after {retries} retries")
                 else:
@@ -443,9 +442,9 @@ class Session:
             if retries == MAX_RETRIES:
                 raise failure from cause
             if wait is None:
-                wait = max(least, delay * (1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)))
+                wait = BACKOFF_BASE * BACKOFF_FACTOR ** retries * (
+                    1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER))
             self._gate.sleep(wait)
-            delay *= BACKOFF_FACTOR
 
 
 def open_session(
@@ -456,19 +455,19 @@ def open_session(
     wait_on_rate_limit: bool = True,
     clock=None,
     sleep=None,
-    parallelism: int = 4,
     transport=None,
 ) -> Session:
     """Create a live or replay session. Opening one sends no request.
 
     A rejected token fails the first request it is sent with, as InvalidToken.
-    A live session takes GitHub's primary budgets for its credential; a replay
-    session is unthrottled (there is no API to protect).
+    A live session takes GitHub's primary budgets for its credential and fetches
+    LIVE_PARALLELISM threads at once; a replay session is unthrottled and serial.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
-    budgets = {}
+    budgets, parallelism = {}, 1  # a replay has no network wait for threads to overlap
     if mode == "live":
+        parallelism = LIVE_PARALLELISM
         if transport is None:
             transport = LiveTransport(token)
         budgets = {"search": (AUTH_SEARCH_PER_MINUTE if token else ANON_SEARCH_PER_MINUTE, 60.0),

@@ -21,6 +21,15 @@ from issuesift.errors import Aborted, IssueSiftError, UsageError
 from issuesift.github_client import GITHUB_API, ReplayTransport
 from issuesift.pipeline import QuerySpec
 
+ENTRY = "from issuesift.cli import entry; entry()"
+
+
+def entry_env(**extra):
+    """The environment for a child Python that imports this tree's issuesift."""
+    src = str(Path(issuesift.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **extra}
+
 
 class TestParseArgs:
     def test_defaults(self):
@@ -222,10 +231,11 @@ class TestInteractiveSession:
 
     def test_bad_category_reprompts(self):
         stdout = io.StringIO()
-        stdin = scripted(["q", "", "", "", "not-a-category", "", "", "", "y"])
+        stdin = scripted(["q", "", "", "", "not-a-category", "²", "", "", "", "y"])
         spec = interactive_session(stdin, stdout, default_taxonomy(), NO_FLAGS)
         assert spec.omit_categories == frozenset()
-        assert "not a category" in stdout.getvalue()
+        assert "'not-a-category' is not a category" in stdout.getvalue()
+        assert "'²' is not a category" in stdout.getvalue()
 
 
 class TestMain:
@@ -482,19 +492,33 @@ class TestMain:
     def test_closed_stdout_exit_3(self, small_fixture_dir, tmp_path, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(issuesift.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               "PYTHONUNBUFFERED": unbuffered}
         try:
             result = subprocess.run(
-                [sys.executable, "-c", "from issuesift.cli import entry; entry()",
+                [sys.executable, "-c", ENTRY,
                  "--query", "tf.function", "--fixtures", str(small_fixture_dir),
                  "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+                stdout=write_end, stderr=subprocess.PIPE, env=entry_env(PYTHONUNBUFFERED=unbuffered),
+                text=True, timeout=120)
         finally:
             os.close(write_end)
         assert result.returncode == 3
         assert result.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("redirect, args, status, message", [
+        ("<&-", ["--interactive"], 1, "aborted: end of input\n"),
+        (">&-", ["--query", "tf.function"], 3, "error: cannot write to stdout: it was closed at start\n"),
+    ], ids=["stdin", "stdout"])
+    def test_stream_closed_at_start(self, small_fixture_dir, tmp_path, redirect, args, status, message):
+        """With fd 0 or fd 1 closed when the process starts, Python's sys.stdin or sys.stdout is None."""
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-c", ENTRY, *args,
+             "--fixtures", str(small_fixture_dir),
+             "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=entry_env(),
+            text=True, timeout=120)
+        assert result.returncode == status
+        assert result.stderr == message
+        assert list(tmp_path.iterdir()) == []
 
     def test_confidence_flag_adds_column(self, small_fixture_dir, tmp_path):
         results = tmp_path / "results.csv"

@@ -86,6 +86,11 @@ class TestOpenSession:
         with pytest.raises(FixtureNotFound):
             open_session(None, mode="replay")
 
+    def test_pool_size_follows_mode(self):
+        """A replay has no network wait to overlap, so it fetches one thread at a time."""
+        assert open_session(None, mode="replay", transport=ScriptedTransport([])).parallelism == 1
+        assert open_session(None, mode="live", transport=ScriptedTransport([])).parallelism == 4
+
 
 class TestReplayManifest:
     @staticmethod
@@ -107,6 +112,14 @@ class TestReplayManifest:
         del manifest["entries"][0][key]
         (fixture / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(FixtureNotFound):
+            replay_session(fixture)
+
+    def test_entry_url_that_urlsplit_rejects(self, tmp_path):
+        fixture = self.fixture(tmp_path)
+        manifest = json.loads((fixture / "manifest.json").read_text(encoding="utf-8"))
+        manifest["entries"][0]["url"] = "http://[::1/x"
+        (fixture / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FixtureNotFound, match="Invalid IPv6 URL"):
             replay_session(fixture)
 
     @pytest.mark.parametrize("meta", [{"headers": {}}, {"status": "200"}, {"status": True}, []],

@@ -10,7 +10,7 @@ from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 from issuesift import pipeline
 from issuesift.classifier import LabeledCorpus, Taxonomy, load_default_model, train_baseline
 from issuesift.errors import InvalidToken, NetworkFailure, UnknownCategory
-from issuesift.github_client import GITHUB_API, IssueRef, RawComment, open_session
+from issuesift.github_client import GITHUB_API, LIVE_PARALLELISM, IssueRef, RawComment, open_session
 from issuesift.pipeline import (
     ClassifiedRecord,
     OmittedIssue,
@@ -406,7 +406,7 @@ class TestRun:
         {"id": 1, "body": "tf.function", "user": {"login": ["bob"]}},
         {"id": 1, "body": "tf.function ab\ud800cd"},  # sent as the JSON escape \ud800
     ])
-    def test_malformed_comment_item_degrades_to_fetch_failed(self, bad_item, fake_clock):
+    def test_malformed_comment_item_degrades_to_fetch_failed(self, bad_item):
         good = make_issue(10, 1, title="tf.function ok", comments=1)
         broken = make_issue(30, 3, title="tf.function broken", comments=2)
         later = make_issue(40, 4, title="tf.function later", comments=1)
@@ -417,8 +417,7 @@ class TestRun:
             reply(200, [make_comment(300, "tf.function cheers"), bad_item]),
             reply(200, [make_comment(400, "tf.function blank")]),
         ])
-        session = open_session("t", mode="live", transport=transport, parallelism=1,
-                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        session = open_session(None, mode="replay", transport=transport)
         records, omitted, summary = run(QuerySpec(query="tf.function"), session,
                                         keyword_model(), PREP)
         assert [(o.id, o.reason) for o in omitted] == [(30, "fetch_failed")]
@@ -504,14 +503,12 @@ def thread_reply(number):
 
 
 class TestStreamedRun:
-    PARALLELISM = 2
-
     def run(self, transport, clock):
-        session = open_session("t", mode="live", transport=transport, parallelism=self.PARALLELISM,
+        session = open_session("t", mode="live", transport=transport,
                                clock=clock.time, sleep=clock.sleep)
         return run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
 
-    def test_invalid_token_on_comments_raises(self, fake_clock):
+    def test_invalid_token_on_comments_raises(self):
         """A 401 is not one issue's failure: the first issue in search order raises it."""
         denied = reply(401, {"message": "Bad credentials"})
         transport = ScriptedTransport([
@@ -521,8 +518,7 @@ class TestStreamedRun:
             ]}),
             denied, denied,
         ])
-        session = open_session("t", mode="live", transport=transport, parallelism=1,
-                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        session = open_session(None, mode="replay", transport=transport)
         with pytest.raises(InvalidToken, match="/issues/1/comments"):
             run(QuerySpec(query="tf.function"), session, keyword_model(), PREP)
 
@@ -588,7 +584,7 @@ class TestStreamedRun:
         assert timed_out == []
         # The failing request, plus at most one in flight on each pool thread.
         assert 1 in transport.comment_requests
-        assert len(transport.comment_requests) <= 1 + self.PARALLELISM
+        assert len(transport.comment_requests) <= 1 + LIVE_PARALLELISM
 
 
 class TestSummaryInvariants:
