@@ -70,6 +70,8 @@ def check_search(query: str, limit: int, sort: str, order: str) -> None:
     """
     if not query.strip():
         raise ValueError("query must be non-empty")
+    if type(limit) is not int:
+        raise ValueError(f"limit must be an integer, got {limit!r}")
     if not 1 <= limit <= SEARCH_LIMIT_CAP:
         raise ValueError(f"limit must be in 1..{SEARCH_LIMIT_CAP}, got {limit}")
     if sort not in SORT_KEYS:
@@ -333,65 +335,57 @@ class Session:
         sort: str = "best-match",
         order: str = "desc",
     ) -> list[IssueRef]:
-        """Issues matching the query, paginated transparently, capped at limit.
+        """Issues matching the query, in the endpoint's order under the requested sort.
 
-        Duplicate ids are dropped keeping the first occurrence; the endpoint's
-        ordering under the requested sort is otherwise preserved.
+        Pages of 100 hits are requested in turn. Paging stops at a page of fewer
+        than 100 hits, at the page where ``limit`` distinct issues are in, or after
+        page 10 (the API serves 1000 hits at most). A repeated id keeps its first
+        occurrence.
         """
         check_search(query, limit, sort, order)
         params = {"q": query} if sort == "best-match" else {"q": query, "sort": sort, "order": order}
-        items = self._paged_items(
-            "search", f"{GITHUB_API}/search/issues", params, items_key="items",
-            error=f"search endpoint returned no 'items' list for {query!r}",
-            max_pages=SEARCH_LIMIT_CAP // PAGE_SIZE,
-        )
         results: dict[int, IssueRef] = {}
-        for item in items:
-            issue = _issue_from_item(item)
-            results.setdefault(issue.id, issue)
-            if len(results) >= limit:
+        for page in range(1, SEARCH_LIMIT_CAP // PAGE_SIZE + 1):
+            reply, _ = self._request("search", f"{GITHUB_API}/search/issues",
+                                     {**params, "per_page": PAGE_SIZE, "page": page})
+            items = reply.get("items") if isinstance(reply, dict) else None
+            if not isinstance(items, list):
+                raise NetworkFailure(f"search endpoint returned no 'items' list for {query!r}")
+            for item in items:
+                issue = _issue_from_item(item)
+                results.setdefault(issue.id, issue)
+                if len(results) >= limit:
+                    return list(results.values())
+            if len(items) < PAGE_SIZE:
                 break
         return list(results.values())
 
     def fetch_comments(self, issue: IssueRef) -> list[RawComment]:
         """All comments of one issue, ascending created_at.
 
-        Paging stops at a short page, or after a full page once the comments
-        received reach the search item's ``comment_count`` and the reply's
-        ``link`` header names no ``rel="next"`` page. A count that is too high
-        ends at the short page; one that is too low is caught by the link, and
-        trusted when the reply has no ``link`` header at all.
+        An issue whose search item counts 0 comments is not fetched. Otherwise
+        pages of 100 are requested from page 1 until a short page, or until a full
+        page brings the comments received to the search item's ``comment_count``
+        and its reply's ``link`` header names no ``rel="next"`` page. A count that
+        is too high ends at the short page; one that is too low is caught by the
+        link, and trusted when the reply has no ``link`` header at all.
         """
         if issue.comment_count == 0:
             return []
-        items = self._paged_items("core", issue.comments_url, {}, expected=issue.comment_count,
-                                  error=f"comments endpoint returned a non-list for issue {issue.id}")
-        comments = [_comment_from_item(item, issue.id) for item in items]
+        comments: list[RawComment] = []
+        for page in itertools.count(1):
+            items, headers = self._request("core", issue.comments_url,
+                                           {"per_page": PAGE_SIZE, "page": page})
+            if not isinstance(items, list):
+                raise NetworkFailure(f"comments endpoint returned a non-list for issue {issue.id}")
+            comments.extend(_comment_from_item(item, issue.id) for item in items)
+            if len(items) < PAGE_SIZE or (len(comments) >= issue.comment_count
+                                          and 'rel="next"' not in headers.get("link", "")):
+                break
         comments.sort(key=lambda c: c.created_at)  # stable: ties keep wire order
         return comments
 
     # -- request machinery --------------------------------------------------
-
-    def _paged_items(self, kind: str, url: str, params: dict, *, error: str,
-                     items_key: str | None = None, max_pages: int | None = None,
-                     expected: int | None = None):
-        """Items of ``url``'s pages in wire order, each page requested when the caller
-        reaches it, up to a short page or page ``max_pages``. With ``expected``, a full
-        page also ends paging once ``expected`` items have come and its reply has no
-        ``rel="next"`` link. A page (or its ``items_key`` member) must be a list, or
-        NetworkFailure(``error``) is raised."""
-        received = 0
-        for page in itertools.islice(itertools.count(1), max_pages):
-            items, headers = self._request(kind, url, {**params, "per_page": PAGE_SIZE, "page": page})
-            if items_key is not None:
-                items = items.get(items_key) if isinstance(items, dict) else None
-            if not isinstance(items, list):
-                raise NetworkFailure(error)
-            yield from items
-            received += len(items)
-            if len(items) < PAGE_SIZE or (expected is not None and received >= expected
-                                          and 'rel="next"' not in headers.get("link", "")):
-                return
 
     def _request(self, kind: str, url: str, params: dict | None = None):
         """GET with retries, returning the decoded JSON and the reply's headers: each attempt

@@ -43,6 +43,8 @@ class QuerySpec:
         check_search(self.query, self.limit, self.sort, self.order)
         if self.strict_scope not in STRICT_SCOPES:
             raise ValueError(f"strict_scope must be 'issue' or 'comment', got {self.strict_scope!r}")
+        if type(self.min_comments) is not int:
+            raise ValueError(f"min_comments must be an integer, got {self.min_comments!r}")
         if self.min_comments < 0:
             raise ValueError(f"min_comments must be >= 0, got {self.min_comments}")
         if self.require_categories & self.forbid_categories:

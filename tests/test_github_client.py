@@ -152,8 +152,9 @@ class TestSearchIssues:
 
     def test_limit_zero_rejected(self, tmp_path):
         session = replay_session(three_hit_fixture(tmp_path))
-        with pytest.raises(ValueError):
-            session.search_issues("tf.function", limit=0)
+        for limit in (0, 2.5, True, "5"):  # nor is a limit that is not an int
+            with pytest.raises(ValueError, match="^limit must be"):
+                session.search_issues("tf.function", limit=limit)
 
     def test_limit_above_cap_rejected(self, tmp_path):
         session = replay_session(three_hit_fixture(tmp_path))
@@ -262,16 +263,18 @@ class TestFetchComments:
 
 
 class PagedTransport:
-    """A search of ``hits`` issues and one thread of ``comments`` comments, served in
-    pages of the requested size; records the (path, page) of every request.
+    """A search that finds the issues ``ids`` and one thread of ``comments`` comments,
+    served in pages of the requested size; records the (path, page) of every request.
 
     With ``links``, a reply carries a ``link`` header as GitHub sends it: only when
-    there is more than one page, with ``rel="next"`` on every page before the last."""
+    there is more than one page, with ``rel="next"`` on every page before the last.
+    A ``page_2`` payload is served in place of page 2 of either endpoint."""
 
-    def __init__(self, hits, comments, links=False):
-        self.hits = [make_issue(i + 1, i + 1) for i in range(hits)]
+    def __init__(self, ids, comments, links=False, page_2=None):
+        self.hits = [make_issue(i, i) for i in ids]
         self.comments = [make_comment(i + 1, f"c{i}") for i in range(comments)]
         self.links = links
+        self.page_2 = page_2
         self.pages: list[tuple[str, int]] = []
 
     def request(self, method, url, params=None):
@@ -284,6 +287,8 @@ class PagedTransport:
         headers = {"Link": ", ".join(f'<{GITHUB_API}{path}?per_page={size}&page={number}>; rel="{rel}"'
                                      for number, rel in rels)} if self.links and last > 1 else {}
         items = served[(page - 1) * size:page * size]
+        if page == 2 and self.page_2 is not None:
+            return reply(200, self.page_2, headers)
         if path == "/search/issues":
             return reply(200, {"total_count": len(self.hits), "items": items}, headers)
         return reply(200, items, headers)
@@ -301,17 +306,35 @@ class TestPageSequence:
         (None, None, 100, [1]),  # the full page holds all the comments the search item counts
         (None, None, 101, [1, 2]),
         (None, None, 200, [1, 2]),
+        ([1, *range(1, 151)], 100, None, [1, 2]),  # page 1 repeats id 1, so holds 99 issues
     ], ids=["search-150-limit-100", "search-150-limit-101", "search-1200-limit-1000",
-            "thread-0", "thread-99", "thread-100", "thread-101", "thread-200"])
+            "thread-0", "thread-99", "thread-100", "thread-101", "thread-200",
+            "search-repeat-limit-100"])
     def test_exact_pages_requested(self, hits, limit, comments, pages):
-        transport = PagedTransport(hits or 0, comments or 0)
+        ids = range(1, hits + 1) if isinstance(hits, int) else hits or []
+        transport = PagedTransport(ids, comments or 0)
         session = open_session(None, mode="replay", transport=transport)
         if hits is not None:
-            assert len(session.search_issues("q", limit=limit)) == min(hits, limit)
+            found = session.search_issues("q", limit=limit)
+            assert [issue.id for issue in found] == list(dict.fromkeys(ids))[:limit]
             assert transport.pages == [("/search/issues", page) for page in pages]
         else:
             assert len(session.fetch_comments(make_issue_ref(comment_count=comments))) == comments
             assert transport.pages == [(self.THREAD, page) for page in pages]
+
+    @pytest.mark.parametrize("ids, comments, page_2", [
+        (range(1, 151), 0, {"items": None}),
+        ((), 150, {"message": "not a list"}),
+    ], ids=["search", "thread"])
+    def test_malformed_second_page_fails_after_it(self, ids, comments, page_2):
+        transport = PagedTransport(ids, comments, page_2=page_2)
+        session = open_session(None, mode="replay", transport=transport)
+        with pytest.raises(NetworkFailure, match="no 'items' list|non-list"):
+            if ids:
+                session.search_issues("q", limit=150)
+            else:
+                session.fetch_comments(make_issue_ref(comment_count=comments))
+        assert [page for _, page in transport.pages] == [1, 2]
 
     @pytest.mark.parametrize("count, served, links, pages, fetched", [
         (100, 150, True, [1, 2], 150),  # page 1 links a next page: it is followed
@@ -319,7 +342,7 @@ class TestPageSequence:
         (100, 150, False, [1], 100),  # no link header: the count is trusted
     ], ids=["stale-low-linked", "stale-high", "stale-low-unlinked"])
     def test_stale_comment_count(self, count, served, links, pages, fetched):
-        transport = PagedTransport(0, served, links=links)
+        transport = PagedTransport((), served, links=links)
         session = open_session(None, mode="replay", transport=transport)
         comments = session.fetch_comments(make_issue_ref(comment_count=count))
         assert [c.comment_id for c in comments] == list(range(1, fetched + 1))
@@ -332,7 +355,7 @@ class TestPageSequence:
         wire order, and no page after the first one that is not full (the short page,
         or else the first empty one) is requested. A count of 0 is trusted without a
         request; an exact count never costs an empty page."""
-        transport = PagedTransport(0, served, links=True)
+        transport = PagedTransport((), served, links=True)
         session = open_session(None, mode="replay", transport=transport)
         comments = session.fetch_comments(make_issue_ref(comment_count=count))
         requested = [page for _, page in transport.pages]

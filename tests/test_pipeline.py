@@ -4,13 +4,20 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from conftest import ScriptedTransport, reply
+from conftest import ClockedTransport, FakeClock, ScriptedTransport, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift import pipeline
 from issuesift.classifier import LabeledCorpus, Taxonomy, load_default_model, train_baseline
 from issuesift.errors import InvalidToken, NetworkFailure, UnknownCategory
-from issuesift.github_client import GITHUB_API, LIVE_PARALLELISM, IssueRef, RawComment, open_session
+from issuesift.github_client import (
+    GITHUB_API,
+    LIVE_PARALLELISM,
+    IssueRef,
+    RawComment,
+    ReplayTransport,
+    open_session,
+)
 from issuesift.pipeline import (
     ClassifiedRecord,
     OmittedIssue,
@@ -187,10 +194,9 @@ class TestApplyCategoryFilters:
 
 class TestQuerySpecValidation:
     def test_limit_bounds(self):
-        with pytest.raises(ValueError):
-            QuerySpec(query="q", limit=0)
-        with pytest.raises(ValueError):
-            QuerySpec(query="q", limit=1001)
+        for limit in (0, 1001, 2.5, True, "5"):  # an int in 1..1000, and no other type
+            with pytest.raises(ValueError, match="^limit must be"):
+                QuerySpec(query="q", limit=limit)
 
     def test_require_forbid_disjoint(self):
         with pytest.raises(ValueError):
@@ -211,8 +217,9 @@ class TestQuerySpecValidation:
             QuerySpec(query="q", **{option: value})
 
     def test_negative_min_comments(self):
-        with pytest.raises(ValueError):
-            QuerySpec(query="q", min_comments=-1)
+        for min_comments in (-1, 0.5, True, "5"):  # an int >= 0, and no other type
+            with pytest.raises(ValueError, match="^min_comments must be"):
+                QuerySpec(query="q", min_comments=min_comments)
 
 
 def composition_fixture(tmp_path):
@@ -325,19 +332,37 @@ class TestRun:
     def test_fetch_failure_degrades_to_omission(self, tmp_path):
         good = make_issue(10, 1, title="tf.function ok", comments=1)
         gone = make_issue(20, 2, title="tf.function gone", comments=3)
+        cut = make_issue(30, 3, title="tf.function cut", comments=150)
         writer = FixtureWriter(tmp_path / "fx")
-        writer.add_search_pages("tf.function", [good, gone])
+        writer.add_search_pages("tf.function", [good, gone, cut])
         writer.add(f"{good['comments_url']}?per_page=100&page=1",
                    [make_comment(100, "tf.function fixing")])
         writer.add(f"{gone['comments_url']}?per_page=100&page=1",
                    {"message": "Not Found"}, status=404)
+        # a full first page, then a second page that is not a list
+        writer.add(f"{cut['comments_url']}?per_page=100&page=1",
+                   [make_comment(300 + i, "tf.function fixing") for i in range(100)])
+        writer.add(f"{cut['comments_url']}?per_page=100&page=2", {"message": "oops"})
         writer.write_manifest()
         session = open_session(None, mode="replay", fixture_dir=tmp_path / "fx")
         records, omitted, summary = run(QuerySpec(query="tf.function"), session,
                                         keyword_model(), PREP)
         assert {r.id for r in records} == {10}
-        assert [(o.id, o.reason) for o in omitted] == [(20, "fetch_failed")]
-        assert summary.per_reason["fetch_failed"] == 1
+        assert [(o.id, o.reason) for o in omitted] == [(20, "fetch_failed"), (30, "fetch_failed")]
+        assert summary.per_reason["fetch_failed"] == 2
+
+    def test_golden_run_requests_each_page_once(self, small_fixture_dir):
+        """The golden run asks for the search page and each commented thread once, in
+        search order; a replay would serve a repeated request without complaint."""
+        transport = ClockedTransport(ReplayTransport(small_fixture_dir), FakeClock().time)
+        session = open_session(None, mode="replay", transport=transport)
+        run(QuerySpec(query="tf.function"), session, load_default_model(), PrepConfig.default())
+        threads = ["tensorflow/tensorflow/issues/26104", "pytorch/pytorch/issues/4242",
+                   "apple/coremltools/issues/1301"]  # issues/31000 counts 0 comments
+        assert [url for _, url in transport.requests] == [
+            f"{GITHUB_API}/search/issues?page=1&per_page=100&q=tf.function",
+            *(f"{GITHUB_API}/repos/{thread}/comments?page=1&per_page=100" for thread in threads),
+        ]
 
     def test_no_strict_match_mode_keeps_relaxed_hits(self, tmp_path):
         session = open_session(None, mode="replay", fixture_dir=composition_fixture(tmp_path))
