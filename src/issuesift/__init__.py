@@ -6,20 +6,8 @@ model labels each line, and the report writer emits the results and omitted
 CSVs.
 """
 
-from .classifier import (
-    LabeledCorpus,
-    ModelFile,
-    Prediction,
-    Taxonomy,
-    classify_lines,
-    default_taxonomy,
-    load_corpus,
-    load_default_model,
-    load_model,
-    predict_line,
-    save_model,
-    train_baseline,
-)
+from .classifier import (LabeledCorpus, ModelFile, Prediction, Taxonomy, classify_lines, default_taxonomy,
+                         load_corpus, load_default_model, load_model, predict_line, save_model, train_baseline)
 from .github_client import IssueRef, RawComment, Session, open_session
 from .pipeline import (
     ClassifiedRecord,

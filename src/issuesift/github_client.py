@@ -68,6 +68,8 @@ def check_search(query: str, limit: int, sort: str, order: str) -> None:
 
     Each message starts with the name of the offending parameter.
     """
+    if not isinstance(query, str):
+        raise ValueError(f"query must be a string, got {query!r}")
     if not query.strip():
         raise ValueError("query must be non-empty")
     if type(limit) is not int:
@@ -109,13 +111,18 @@ class TransportReply(NamedTuple):
     body: bytes
 
 
-def canonical_url(url: str, params: dict | None = None) -> str:
-    """URL with merged, key-sorted query params; the replay lookup key."""
+def url_key(url: str, params: dict | None = None) -> tuple:
+    """The replay lookup key: scheme, host, path and the sorted query pairs, ``params`` merged."""
     scheme, netloc, path, query, _ = urlsplit(url)
     items = parse_qsl(query, keep_blank_values=True)
     if params:
         items.extend((k, str(v)) for k, v in params.items())
-    items.sort()
+    return scheme, netloc, path, tuple(sorted(items))
+
+
+def canonical_url(url: str, params: dict | None = None) -> str:
+    """``url_key`` written out as a URL, for messages and request logs."""
+    scheme, netloc, path, items = url_key(url, params)
     return urlunsplit((scheme, netloc, path, urlencode(items), ""))
 
 
@@ -131,12 +138,7 @@ class LiveTransport:
 
         self._errors = requests.RequestException
         self._session = requests.Session()
-        self._session.headers.update(
-            {
-                "Accept": "application/vnd.github+json",
-                "User-Agent": USER_AGENT,
-            }
-        )
+        self._session.headers.update({"Accept": "application/vnd.github+json", "User-Agent": USER_AGENT})
         if token:
             self._session.headers["Authorization"] = f"Bearer {token}"
 
@@ -162,20 +164,21 @@ class ReplayTransport:
         except (OSError, ValueError, RecursionError) as exc:
             raise FixtureNotFound(f"unreadable fixture manifest {manifest_path}: {exc}") from exc
         self._lock = threading.Lock()
-        self._entries: dict[str, deque] = {}
+        self._entries: dict[tuple, deque] = {}
         try:
             for entry in manifest.get("entries", []):
-                key = f"{entry['method'].upper()} {canonical_url(entry['url'])}"
+                key = (entry["method"].upper(), url_key(entry["url"]))
                 self._entries.setdefault(key, deque()).append((entry["meta"], entry["body"]))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FixtureNotFound(f"malformed fixture manifest {manifest_path}: {exc!r}") from exc
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
-        key = f"{method.upper()} {canonical_url(url, params)}"
+        method = method.upper()
+        key = (method, url_key(url, params))
         with self._lock:
             queue = self._entries.get(key)
             if not queue:
-                raise FixtureNotFound(f"no recorded response for: {key}")
+                raise FixtureNotFound(f"no recorded response for: {method} {canonical_url(url, params)}")
             # The last recording for a URL stays available so idempotent GETs
             # replay indefinitely; earlier ones are consumed in order.
             meta_name, body_name = queue.popleft() if len(queue) > 1 else queue[0]
@@ -184,10 +187,11 @@ class ReplayTransport:
             body = (self._dir / body_name).read_bytes()
             status = meta["status"]
             headers = {str(k).lower(): str(v) for k, v in meta.get("headers", {}).items()}
+            if type(status) is not int:
+                raise TypeError(f"its meta has a non-integer status {status!r}")
         except (OSError, ValueError, RecursionError, AttributeError, KeyError, TypeError) as exc:
-            raise FixtureNotFound(f"unreadable fixture file for {key}: {exc}") from exc
-        if not isinstance(status, int) or isinstance(status, bool):
-            raise FixtureNotFound(f"fixture meta for {key} has a non-integer status {status!r}")
+            where = f"{method} {canonical_url(url, params)}"
+            raise FixtureNotFound(f"unreadable fixture file for {where}: {exc}") from exc
         return TransportReply(status=status, headers=headers, body=body)
 
 
@@ -315,8 +319,8 @@ class Session:
     """Shared client for the issue-search and issue-comments endpoints.
 
     Thread-safe: all rate accounting funnels through one gate, so comment
-    fetches for distinct issues may run in parallel. ``parallelism`` bounds how
-    many the pipeline starts at once; ``open_session`` sets it from the mode.
+    fetches for distinct issues may run in parallel. ``parallelism`` is how many
+    the pipeline runs at once; at 1 it fetches on the calling thread, with no pool.
     The gate also owns the clock, the sleep and whether to wait out a rate limit.
     """
 
@@ -455,7 +459,8 @@ def open_session(
 
     A rejected token fails the first request it is sent with, as InvalidToken.
     A live session takes GitHub's primary budgets for its credential and fetches
-    LIVE_PARALLELISM threads at once; a replay session is unthrottled and serial.
+    LIVE_PARALLELISM threads at once. A replay session is unthrottled, and the
+    pipeline fetches its threads one by one on the calling thread.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")

@@ -9,7 +9,7 @@ exactly once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -41,6 +41,12 @@ class QuerySpec:
     def __post_init__(self):
         # Each message starts with the name of the offending field.
         check_search(self.query, self.limit, self.sort, self.order)
+        if type(self.strict_match) is not bool:
+            raise ValueError(f"strict_match must be True or False, got {self.strict_match!r}")
+        for name in ("omit_categories", "require_categories", "forbid_categories"):
+            value = getattr(self, name)
+            if not isinstance(value, (set, frozenset)) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{name} must be a set of category names, got {value!r}")
         if self.strict_scope not in STRICT_SCOPES:
             raise ValueError(f"strict_scope must be 'issue' or 'comment', got {self.strict_scope!r}")
         if type(self.min_comments) is not int:
@@ -148,7 +154,8 @@ def run(
     """Execute the full pipeline for one query.
 
     Each issue is filtered, preprocessed and classified as soon as its thread
-    arrives, in search order, while later threads are still being fetched.
+    arrives, in search order: a live session fetches later threads meanwhile on a
+    pool of ``session.parallelism`` threads, a replay fetches each on the calling thread.
     Per-issue fetch failures degrade to omissions instead of aborting; search
     or authentication failures propagate, and stop the fetches not yet
     started. Output ordering is imposed once every issue is in, so results
@@ -172,10 +179,15 @@ def run(
 
     records: list[ClassifiedRecord] = []
     omitted: list[OmittedIssue] = []
-    with ThreadPoolExecutor(max_workers=session.parallelism) as pool:
-        # map yields in search order, so the first failing issue is the one
-        # that raises; leaving the loop cancels the fetches not yet started.
-        for issue, comments in pool.map(fetch_one, issues):
+    pool = None
+    if session.parallelism > 1:  # a live session; a replay fetches on this thread
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=session.parallelism)
+    with pool or nullcontext():
+        # Both maps yield in search order, so the first failing issue is the one that
+        # raises. Leaving the loop starts no further fetch: no name holds the pool's map
+        # iterator, so it is closed at once and cancels the fetches not yet started.
+        for issue, comments in (pool.map if pool else map)(fetch_one, issues):
             issue_id, html_url, api_url = issue.id, issue.html_url, issue.api_url
             if comments is None:
                 omitted.append(OmittedIssue(issue_id, html_url, api_url, "fetch_failed"))
@@ -209,11 +221,6 @@ def run(
     per_reason = {reason: 0 for reason in OMISSION_REASONS}
     for omission in omitted:
         per_reason[omission.reason] += 1
-    summary = RunSummary(
-        issues_searched=len(issues),
-        issues_classified=len(issues) - len(omitted),
-        issues_omitted=len(omitted),
-        per_category=per_category,
-        per_reason=per_reason,
-    )
+    summary = RunSummary(issues_searched=len(issues), issues_classified=len(issues) - len(omitted),
+                         issues_omitted=len(omitted), per_category=per_category, per_reason=per_reason)
     return records, omitted, summary

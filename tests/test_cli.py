@@ -256,6 +256,18 @@ class TestMain:
         assert "issues searched" in out
         assert err == ""
 
+    def test_replay_needs_no_thread_pool_or_http_stack(self, small_fixture_dir, tmp_path):
+        """With concurrent.futures and requests unimportable, a replay still writes the golden CSVs."""
+        blocked = 'import sys; sys.modules["concurrent.futures"] = None; sys.modules["requests"] = None\n'
+        result = subprocess.run(
+            [sys.executable, "-c", blocked + ENTRY,
+             "--query", "tf.function", "--fixtures", str(small_fixture_dir),
+             "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+            stdin=subprocess.DEVNULL, capture_output=True, env=entry_env(), text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "r.csv").read_bytes() == (GOLDEN_DIR / "results.csv").read_bytes()
+        assert (tmp_path / "o.csv").read_bytes() == (GOLDEN_DIR / "omitted.csv").read_bytes()
+
     def test_usage_error_exit_1(self):
         code, _, err = self.run_main(["--limit", "5"])
         assert code == 1

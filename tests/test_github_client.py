@@ -3,10 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 from types import SimpleNamespace
-from urllib.parse import urlsplit
+from urllib.parse import quote, quote_plus, urlsplit
 
 import pytest
 import requests
@@ -685,6 +686,72 @@ class TestCanonicalUrl:
     def test_merges_extra_params(self):
         url = canonical_url("https://x/y?a=1", {"b": 2})
         assert url == "https://x/y?a=1&b=2"
+
+
+# Query keys and values: blanks, spaces, "%" and "+" (literal or escaped), "=" and "&"
+# inside a pair, and a non-ASCII letter; values may also be integers.
+QUERY_KEYS = st.sampled_from(["q", "page", "per_page", "", "a b", "%", "+", "k=&"])
+QUERY_VALUES = st.one_of(st.text(alphabet="x %+=&é", max_size=3), st.integers(0, 200))
+# Raw query text, escapes malformed or not ("%2", "%zz", a lone "=").
+RAW_QUERY = st.text(alphabet="ab=&%+2Fz ", max_size=8)
+COMMENTS_URL = f"{GITHUB_API}/repos/o/r/issues/1/comments"
+
+
+def encoded_query(pairs, data) -> str:
+    """``pairs`` as query text, each pair's style drawn from ``data``: a space as "+"
+    or "%20", and a blank value after a key as "k=" or "k"."""
+    parts = []
+    for key, value in pairs:
+        plus = data.draw(st.booleans())
+        quoted = quote_plus if plus else (lambda text: quote(text, safe=""))
+        value = str(value)
+        parts.append(quoted(key) if plus and key and not value else f"{quoted(key)}={quoted(value)}")
+    return "&".join(parts)
+
+
+def recording_served(recorded_url: str, url: str, params: dict | None) -> bool:
+    """Whether a replay of one recording at ``recorded_url`` answers GET ``url`` with ``params``."""
+    with tempfile.TemporaryDirectory() as directory:
+        writer = FixtureWriter(Path(directory))
+        writer.add(recorded_url, [])
+        writer.write_manifest()
+        try:
+            ReplayTransport(directory).request("GET", url, params)
+        except FixtureNotFound:
+            return False
+        return True
+
+
+class TestRecordingLookup:
+    """Two requests hit the same recording exactly when their canonical URLs are equal."""
+
+    @given(pairs=st.lists(st.tuples(QUERY_KEYS, QUERY_VALUES), max_size=5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reordered_escaped_and_merged_queries(self, pairs, data):
+        recorded = f"{COMMENTS_URL}?{encoded_query(pairs, data)}"
+        asked = data.draw(st.permutations(pairs))
+        changed = data.draw(st.sampled_from(["as recorded", "one pair dropped", "one pair added"]))
+        if changed == "one pair dropped" and asked:
+            asked = asked[1:]
+        elif changed == "one pair added":
+            asked = [*asked, data.draw(st.tuples(QUERY_KEYS, QUERY_VALUES))]
+        # Pairs whose key occurs once may travel as params, merged into the URL's own query.
+        single = [pair for pair in asked if [k for k, _ in asked].count(pair[0]) == 1]
+        moved = data.draw(st.lists(st.sampled_from(single), unique=True)) if single else []
+        in_url = [pair for pair in asked if pair not in moved]
+        url = f"{COMMENTS_URL}?{encoded_query(in_url, data)}"
+        params = dict(moved) or None
+        served = recording_served(recorded, url, params)
+        assert served == (canonical_url(recorded) == canonical_url(url, params))
+        if changed == "as recorded":
+            assert served
+
+    @given(recorded=RAW_QUERY, asked=RAW_QUERY)
+    @settings(max_examples=200, deadline=None)
+    def test_raw_query_text(self, recorded, asked):
+        recorded_url, url = f"{COMMENTS_URL}?{recorded}", f"{COMMENTS_URL}?{asked}"
+        served = recording_served(recorded_url, url, None)
+        assert served == (canonical_url(recorded_url) == canonical_url(url))
 
 
 def make_issue_ref(comment_count=0):

@@ -1,10 +1,10 @@
+import concurrent.futures
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlsplit
 
 import pytest
 
-from conftest import ClockedTransport, FakeClock, ScriptedTransport, reply
+from conftest import GOLDEN_DIR, ClockedTransport, FakeClock, ScriptedTransport, reply
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
 
 from issuesift import pipeline
@@ -206,6 +206,26 @@ class TestQuerySpecValidation:
     def test_empty_query(self):
         with pytest.raises(ValueError):
             QuerySpec(query="  ")
+
+    @pytest.mark.parametrize("query", [None, 5, b"tf.function"])
+    def test_query_must_be_a_string(self, query):
+        with pytest.raises(ValueError, match="^query must be a string"):
+            QuerySpec(query=query)
+
+    @pytest.mark.parametrize("strict_match", ["no", 0, 1, None])
+    def test_strict_match_must_be_a_bool(self, strict_match):
+        with pytest.raises(ValueError, match="^strict_match must be"):
+            QuerySpec(query="q", strict_match=strict_match)
+
+    @pytest.mark.parametrize("field", ["omit_categories", "require_categories", "forbid_categories"])
+    @pytest.mark.parametrize("value", ["Usage", ["Usage"], None, frozenset({1}), {("Usage",)}])
+    def test_category_fields_must_be_sets_of_names(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a set of category names"):
+            QuerySpec(query="q", **{field: value})
+
+    def test_category_fields_accept_a_set_or_frozenset(self):
+        spec = QuerySpec(query="q", omit_categories={"Usage"}, forbid_categories=frozenset({"Motivation"}))
+        assert spec.omit_categories == {"Usage"}
 
     def test_bad_scope(self):
         with pytest.raises(ValueError):
@@ -583,7 +603,7 @@ class TestStreamedRun:
         release = threading.Event()
         timed_out = []
 
-        class ReleasingPool(ThreadPoolExecutor):
+        class ReleasingPool(concurrent.futures.ThreadPoolExecutor):
             def shutdown(self, *args, **kwargs):
                 release.set()
                 super().shutdown(*args, **kwargs)
@@ -600,7 +620,8 @@ class TestStreamedRun:
         def fail(*args):
             raise RuntimeError("processing failed")
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", ReleasingPool)
+        # run imports the pool class from concurrent.futures when it builds a live pool.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReleasingPool)
         if failure == "processing":
             monkeypatch.setattr(pipeline, "strict_match", fail)
         transport = RoutedTransport(30, comments)
@@ -610,6 +631,20 @@ class TestStreamedRun:
         # The failing request, plus at most one in flight on each pool thread.
         assert 1 in transport.comment_requests
         assert len(transport.comment_requests) <= 1 + LIVE_PARALLELISM
+
+
+class TestReplayOnCallingThread:
+    def test_a_replay_run_starts_no_thread(self, small_fixture_dir, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"a replay run started a thread: {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        session = open_session(None, mode="replay", fixture_dir=small_fixture_dir)
+        records, omitted, _ = run(QuerySpec(query="tf.function"), session,
+                                  load_default_model(), PrepConfig.default())
+        write_report(records, omitted, tmp_path / "r.csv", tmp_path / "o.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (GOLDEN_DIR / "results.csv").read_bytes()
+        assert (tmp_path / "o.csv").read_bytes() == (GOLDEN_DIR / "omitted.csv").read_bytes()
 
 
 class TestSummaryInvariants:
