@@ -152,7 +152,10 @@ def _ask(stdin, stdout, prompt: str, parse):
     """
     while True:
         _say(stdout, prompt)
-        line = stdin.readline() if stdin is not None else ""  # None: fd 0 closed at start
+        try:
+            line = stdin.readline() if stdin is not None else ""  # None: fd 0 closed at start
+        except UnicodeDecodeError as exc:  # a strict stdin; in UTF-8 mode it escapes the byte
+            raise UsageError(f"standard input is not valid {exc.encoding}") from None
         if line == "":
             raise Aborted("end of input")
         try:
@@ -200,6 +203,10 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Names
     def parse_query(answer):
         if not answer:
             raise ValueError("The query cannot be empty.")
+        try:  # before parse_limit, whose check_search would blame the limit
+            check_search(answer, QuerySpec.limit, QuerySpec.sort, QuerySpec.order)
+        except ValueError as exc:
+            raise ValueError(f"The {exc}.") from None
         return answer
 
     def parse_limit(answer):

@@ -25,11 +25,12 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 from .errors import (
     FixtureNotFound,
+    GitHubError,
     InvalidToken,
     IssueGone,
     NetworkFailure,
@@ -72,6 +73,10 @@ def check_search(query: str, limit: int, sort: str, order: str) -> None:
         raise ValueError(f"query must be a string, got {query!r}")
     if not query.strip():
         raise ValueError("query must be non-empty")
+    try:
+        query.encode("utf-8")  # a byte that is not UTF-8 reaches argv as a lone surrogate
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"query must be valid UTF-8; character {exc.start + 1} is not") from None
     if type(limit) is not int:
         raise ValueError(f"limit must be an integer, got {limit!r}")
     if not 1 <= limit <= SEARCH_LIMIT_CAP:
@@ -318,10 +323,9 @@ def _comment_from_item(item, issue_id: int) -> RawComment:
 class Session:
     """Shared client for the issue-search and issue-comments endpoints.
 
-    Thread-safe: all rate accounting funnels through one gate, so comment
-    fetches for distinct issues may run in parallel. ``parallelism`` is how many
-    the pipeline runs at once; at 1 it fetches on the calling thread, with no pool.
-    The gate also owns the clock, the sleep and whether to wait out a rate limit.
+    Thread-safe: all rate accounting funnels through one gate, so ``fetch_threads``
+    may run ``parallelism`` comment fetches at once. The gate also owns the clock,
+    the sleep and whether to wait out a rate limit.
     """
 
     def __init__(self, *, transport, gate: RateGate, parallelism: int):
@@ -388,6 +392,25 @@ class Session:
                 break
         comments.sort(key=lambda c: c.created_at)  # stable: ties keep wire order
         return comments
+
+    def fetch_threads(self, issues: list[IssueRef]) -> Iterator[tuple[IssueRef, list[RawComment] | None]]:
+        """Yield ``(issue, comments)`` in search order; ``comments`` is None if its fetch
+        failed, and a rejected credential raises. Above 1, ``parallelism`` fetches run on a
+        pool; closing the generator cancels the fetches not yet started and joins it."""
+        def fetch(issue):
+            try:
+                return issue, self.fetch_comments(issue)
+            except InvalidToken:
+                raise  # a rejected credential fails every issue alike
+            except GitHubError:
+                return issue, None
+
+        if self.parallelism == 1:  # a replay fetches on the calling thread
+            yield from map(fetch, issues)
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(self.parallelism) as pool:
+            yield from pool.map(fetch, issues)
 
     # -- request machinery --------------------------------------------------
 
@@ -459,8 +482,8 @@ def open_session(
 
     A rejected token fails the first request it is sent with, as InvalidToken.
     A live session takes GitHub's primary budgets for its credential and fetches
-    LIVE_PARALLELISM threads at once. A replay session is unthrottled, and the
-    pipeline fetches its threads one by one on the calling thread.
+    LIVE_PARALLELISM threads at once. A replay session is unthrottled, and
+    ``fetch_threads`` fetches its threads one by one on the calling thread.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")

@@ -9,13 +9,12 @@ exactly once.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
 from .classifier import ModelFile, classify_lines
-from .errors import GitHubError, InvalidToken, UnknownCategory
+from .errors import UnknownCategory
 from .github_client import IssueRef, RawComment, Session, check_search
 from .text_prep import PrepConfig, preprocess_comment
 
@@ -153,13 +152,11 @@ def run(
 ) -> tuple[list[ClassifiedRecord], list[OmittedIssue], RunSummary]:
     """Execute the full pipeline for one query.
 
-    Each issue is filtered, preprocessed and classified as soon as its thread
-    arrives, in search order: a live session fetches later threads meanwhile on a
-    pool of ``session.parallelism`` threads, a replay fetches each on the calling thread.
-    Per-issue fetch failures degrade to omissions instead of aborting; search
-    or authentication failures propagate, and stop the fetches not yet
-    started. Output ordering is imposed once every issue is in, so results
-    are deterministic regardless of completion order.
+    Each issue is filtered, preprocessed and classified as soon as
+    ``session.fetch_threads`` yields its thread, in search order; a failed fetch is an
+    omission. A search or credential failure propagates. Leaving the loop early closes
+    the generator, which no name holds, and so stops the fetches not yet started. Output
+    order is imposed once every issue is in, so it does not depend on completion order.
     """
     for name in sorted(spec.omit_categories | spec.require_categories | spec.forbid_categories):
         if name not in model.taxonomy:
@@ -169,48 +166,34 @@ def run(
 
     issues = session.search_issues(spec.query, spec.limit, spec.sort, spec.order)
 
-    def fetch_one(issue: IssueRef):
-        try:
-            return issue, session.fetch_comments(issue)
-        except InvalidToken:
-            raise  # a rejected credential fails every issue alike
-        except GitHubError:
-            return issue, None
-
     records: list[ClassifiedRecord] = []
     omitted: list[OmittedIssue] = []
-    pool = None
-    if session.parallelism > 1:  # a live session; a replay fetches on this thread
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=session.parallelism)
-    with pool or nullcontext():
-        # Both maps yield in search order, so the first failing issue is the one that
-        # raises. Leaving the loop starts no further fetch: no name holds the pool's map
-        # iterator, so it is closed at once and cancels the fetches not yet started.
-        for issue, comments in (pool.map if pool else map)(fetch_one, issues):
-            issue_id, html_url, api_url = issue.id, issue.html_url, issue.api_url
-            if comments is None:
-                omitted.append(OmittedIssue(issue_id, html_url, api_url, "fetch_failed"))
+    classified = 0
+    for issue, comments in session.fetch_threads(issues):
+        issue_id, html_url, api_url = issue.id, issue.html_url, issue.api_url
+        if comments is None:
+            omitted.append(OmittedIssue(issue_id, html_url, api_url, "fetch_failed"))
+            continue
+        if len(comments) < spec.min_comments:
+            omitted.append(OmittedIssue(issue_id, html_url, api_url, "no_discussion"))
+            continue
+        if spec.strict_match:
+            comments, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
+            if not matched:
+                omitted.append(OmittedIssue(issue_id, html_url, api_url, "no_strict_match"))
                 continue
-            if len(comments) < spec.min_comments:
-                omitted.append(OmittedIssue(issue_id, html_url, api_url, "no_discussion"))
-                continue
-            if spec.strict_match:
-                comments, matched = strict_match(issue, comments, spec.query, spec.strict_scope)
-                if not matched:
-                    omitted.append(OmittedIssue(issue_id, html_url, api_url, "no_strict_match"))
-                    continue
-            lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
-            rows = [
-                ClassifiedRecord(issue_id, html_url, api_url, line.comment_id, line.line_index,
-                                 line.rendered, category, confidence)
-                for line, (category, confidence) in classify_lines(model, lines)
-            ]
-            kept = apply_category_filters(rows, spec)
-            if kept is None:
-                omitted.append(OmittedIssue(issue_id, html_url, api_url, "category_filtered"))
-                continue
-            records.extend(kept)
+        lines = [line for comment in comments for line in preprocess_comment(comment, prep)]
+        rows = [
+            ClassifiedRecord(issue_id, html_url, api_url, line.comment_id, line.line_index,
+                             line.rendered, category, confidence)
+            for line, (category, confidence) in classify_lines(model, lines)
+        ]
+        kept = apply_category_filters(rows, spec)
+        if kept is None:
+            omitted.append(OmittedIssue(issue_id, html_url, api_url, "category_filtered"))
+            continue
+        records.extend(kept)
+        classified += 1
 
     records.sort(key=itemgetter(0, 3, 4))  # (id, comment_id, line_index); ties keep thread order
     omitted.sort(key=itemgetter(0))
@@ -221,6 +204,6 @@ def run(
     per_reason = {reason: 0 for reason in OMISSION_REASONS}
     for omission in omitted:
         per_reason[omission.reason] += 1
-    summary = RunSummary(issues_searched=len(issues), issues_classified=len(issues) - len(omitted),
+    summary = RunSummary(issues_searched=len(issues), issues_classified=classified,
                          issues_omitted=len(omitted), per_category=per_category, per_reason=per_reason)
     return records, omitted, summary

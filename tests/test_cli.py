@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR
 from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
@@ -596,3 +598,78 @@ class TestMain:
         assert code == 1
         assert out == ""
         assert err != ""
+
+
+class TestTextThatIsNotUtf8:
+    """A byte that is not UTF-8 reaches argv, and a surrogateescape stdin, as a lone
+    surrogate (PEP 383); UTF-8 cannot encode it, so no query may hold one."""
+
+    def test_query_byte_on_the_command_line_is_a_usage_error(self, small_fixture_dir, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-c", ENTRY, "--query", b"tf.function\xff", "--fixtures", str(small_fixture_dir),
+             "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+            stdin=subprocess.DEVNULL, capture_output=True, env=entry_env(), timeout=120)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"usage error: --query must be valid UTF-8; character 12 is not\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_query_byte_at_the_prompt_is_asked_again(self, small_fixture_dir, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-c", ENTRY, "--interactive", "--fixtures", str(small_fixture_dir),
+             "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+            input=b"tf.function\xff\n\n\n\n\n\n\ny\n", capture_output=True,
+            env=entry_env(PYTHONUTF8="1"), timeout=120)
+        assert (result.returncode, result.stderr) == (1, b"aborted: end of input\n")
+        assert result.stdout.startswith(b"Query string: The query must be valid UTF-8; character 12 is not.\n"
+                                        b"Query string: The query cannot be empty.\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_strict_stdin_that_is_not_utf8_is_a_usage_error(self, small_fixture_dir, tmp_path):
+        """Outside UTF-8 mode, a UTF-8 locale's stdin raises on the byte instead."""
+        stdin = io.TextIOWrapper(io.BytesIO(b"tf.function\xff\n\n\n\n\n\n\ny\n"), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["--interactive", "--fixtures", str(small_fixture_dir),
+                     "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+                    {}, stdin=stdin, stdout=out, stderr=err)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            1, "Query string: ", "usage error: standard input is not valid utf-8\n")
+
+
+# Text an argument or an answer may hold: any code point, lone surrogates and NULs
+# among them, digits int() rejects, and values the flags and prompts accept.
+TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()) | st.sampled_from("\0\udcff\ud800²½٣Ⅻ-,"), max_size=12),
+    st.sampled_from(["tf.function", "", "y", "1", "5", "0", "Usage", "comment", "created", "asc"]),
+)
+VALUED_FLAGS = ["--query", "--limit", "--sort", "--order", "--min-comments", "--strict-scope",
+                "--omit-category", "--require-category", "--forbid-category"]
+
+
+class TestAnyTextEndsCleanly:
+    """main turns any argv or prompt answer into an exit code and at most one stderr line."""
+
+    # After the query, each prompt but the last refuses "y" and takes "", so these answers
+    # reach the confirmation, and a run, from whichever prompt the drawn answers left open.
+    TAIL = ["tf.function", *["y", ""] * 6, "y"]
+
+    def check(self, argv, stdin, small_fixture_dir, tmp_path):
+        err = io.StringIO()
+        code = main([*argv, "--fixtures", str(small_fixture_dir),
+                     "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv")],
+                    {}, stdin=stdin, stdout=io.StringIO(), stderr=err)
+        assert code in (0, 1, 2, 3)
+        # one whole line on failure, none on success
+        assert err.getvalue().count("\n") == err.getvalue().endswith("\n") == (code != 0), (code, err.getvalue())
+
+    @given(query=TEXT, flags=st.lists(st.tuples(st.sampled_from(VALUED_FLAGS), TEXT), max_size=4))
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_argv(self, query, flags, small_fixture_dir, tmp_path):
+        self.check(["--query", query, *(part for pair in flags for part in pair)], io.StringIO(),
+                   small_fixture_dir, tmp_path)
+
+    @given(answers=st.lists(TEXT, max_size=10))
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_prompt_answers(self, answers, small_fixture_dir, tmp_path):
+        self.check(["--interactive"], scripted([*answers, *self.TAIL]), small_fixture_dir, tmp_path)

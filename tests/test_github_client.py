@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import quote, quote_plus, urlsplit
@@ -29,6 +30,7 @@ from issuesift.errors import (
 )
 from issuesift.github_client import (
     GITHUB_API,
+    LIVE_PARALLELISM,
     MAX_HEADER_WAIT,
     PAGE_SIZE,
     REQUEST_TIMEOUT,
@@ -37,6 +39,7 @@ from issuesift.github_client import (
     RateGate,
     ReplayTransport,
     TransportReply,
+    IssueRef,
     canonical_url,
     open_session,
 )
@@ -261,6 +264,73 @@ class TestFetchComments:
         session = replay_session(fixture)
         [hit] = session.search_issues("q", limit=1)
         assert len(session.fetch_comments(hit)) == 100
+
+
+class LastFirstTransport:
+    """Comment threads for issues 1..n, issue ``k`` answered with ``replies[k - 1]``.
+
+    With ``hold``, issue k's reply waits until issue k + 1's has been given, so
+    fetches that run at once finish last first. ``answered`` lists the issue
+    numbers in the order their replies were given.
+    """
+
+    def __init__(self, replies, hold):
+        self.replies = replies
+        self.hold = hold
+        self.given = [threading.Event() for _ in replies]
+        self.answered: list[int] = []
+        self._lock = threading.Lock()
+
+    def request(self, method, url, params=None):
+        number = int(urlsplit(url).path.split("/")[-2])
+        if self.hold and number < len(self.replies):
+            assert self.given[number].wait(timeout=5), f"issue {number + 1} was never fetched"
+        with self._lock:
+            self.answered.append(number)
+        self.given[number - 1].set()
+        return self.replies[number - 1]
+
+
+@pytest.mark.parametrize("mode", ["replay", "live"])
+class TestFetchThreads:
+    """A live session fetches on a pool, where later threads may arrive first; a replay
+    fetches one by one. Either way the threads come out in search order."""
+
+    def threads(self, mode, statuses, fake_clock):
+        """The transport, and ``(issue id, comment ids or None)`` of each pair fetch_threads yields."""
+        replies = [reply(status, [make_comment(100 * n, f"c{n}")] if status == 200 else {"message": "no"})
+                   for n, status in enumerate(statuses, start=1)]
+        transport = LastFirstTransport(replies, hold=mode == "live")
+        session = open_session("t", mode=mode, transport=transport,
+                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        assert session.parallelism == (1 if mode == "replay" else LIVE_PARALLELISM)
+        issues = [make_issue_ref(1, n) for n in range(1, len(statuses) + 1)]
+        return transport, ((issue.id, comments and [c.comment_id for c in comments])
+                           for issue, comments in session.fetch_threads(issues))
+
+    def test_threads_come_in_search_order(self, mode, fake_clock):
+        transport, pairs = self.threads(mode, [200, 200, 200], fake_clock)
+        assert list(pairs) == [(1, [100]), (2, [200]), (3, [300])]
+        assert transport.answered == ([1, 2, 3] if mode == "replay" else [3, 2, 1])
+
+    def test_a_gone_issue_yields_none(self, mode, fake_clock):
+        _, pairs = self.threads(mode, [200, 404, 200], fake_clock)
+        assert list(pairs) == [(1, [100]), (2, None), (3, [300])]
+
+    def test_a_rejected_credential_raises_at_its_issue(self, mode, fake_clock):
+        transport, pairs = self.threads(mode, [200, 401, 200], fake_clock)
+        assert next(pairs) == (1, [100])
+        with pytest.raises(InvalidToken, match="/issues/2/comments"):
+            next(pairs)
+        assert transport.answered == ([1, 2] if mode == "replay" else [3, 2, 1])
+
+    def test_each_fetch_calls_the_instance_fetch_comments(self, mode, fake_clock):
+        """The benchmark's simulated clock and tracer replace ``fetch_comments`` on the instance."""
+        session = open_session("t", mode=mode, transport=ScriptedTransport([]),
+                               clock=fake_clock.time, sleep=fake_clock.sleep)
+        session.fetch_comments = lambda issue: [issue.id]
+        issues = [make_issue_ref(1, n) for n in (1, 2)]
+        assert list(session.fetch_threads(issues)) == [(issues[0], [1]), (issues[1], [2])]
 
 
 class PagedTransport:
@@ -754,12 +824,11 @@ class TestRecordingLookup:
         assert served == (canonical_url(recorded_url) == canonical_url(url))
 
 
-def make_issue_ref(comment_count=0):
-    from issuesift.github_client import IssueRef
+def make_issue_ref(comment_count=0, number=1):
     return IssueRef(
-        id=1, title="t", body="",
-        html_url="https://github.com/o/r/issues/1",
-        api_url="https://api.github.com/repos/o/r/issues/1",
-        comments_url="https://api.github.com/repos/o/r/issues/1/comments",
+        id=number, title="t", body="",
+        html_url=f"https://github.com/o/r/issues/{number}",
+        api_url=f"https://api.github.com/repos/o/r/issues/{number}",
+        comments_url=f"https://api.github.com/repos/o/r/issues/{number}/comments",
         comment_count=comment_count,
     )

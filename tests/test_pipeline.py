@@ -620,7 +620,7 @@ class TestStreamedRun:
         def fail(*args):
             raise RuntimeError("processing failed")
 
-        # run imports the pool class from concurrent.futures when it builds a live pool.
+        # Session.fetch_threads imports the pool class from concurrent.futures for a live session.
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReleasingPool)
         if failure == "processing":
             monkeypatch.setattr(pipeline, "strict_match", fail)
@@ -652,6 +652,14 @@ class TestSummaryInvariants:
         with pytest.raises(ValueError):
             RunSummary(issues_searched=3, issues_classified=1, issues_omitted=1,
                        per_category={}, per_reason={})
+
+    def test_an_issue_the_fetch_loop_drops_fails_the_count(self, small_fixture_dir):
+        """run counts each issue it keeps, so one that never comes out of the fetch is caught."""
+        session = open_session(None, mode="replay", fixture_dir=small_fixture_dir)
+        fetch_threads = session.fetch_threads
+        session.fetch_threads = lambda issues: fetch_threads(issues[1:])
+        with pytest.raises(ValueError, match=r"^classified \+ omitted must equal searched$"):
+            run(QuerySpec(query="tf.function"), session, load_default_model(), PrepConfig.default())
 
     def test_records_come_from_their_own_issue_thread(self, small_fixture_dir):
         session = open_session(None, mode="replay", fixture_dir=small_fixture_dir)
