@@ -8,6 +8,7 @@ thread never contains the literal query string.
 
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -122,6 +123,7 @@ CONVERT_COMMENTS = [
 
 
 def main() -> None:
+    shutil.rmtree(FIXTURE_DIR, ignore_errors=True)  # so a file the writer no longer makes shows as deleted
     writer = FixtureWriter(FIXTURE_DIR)
     writer.add_search_pages(
         "tf.function", [ISSUE_TRACE, ISSUE_SLOW, ISSUE_TORCH, ISSUE_CONVERT]

@@ -224,6 +224,8 @@ def load_model(path: str | Path) -> ModelFile:
         raise IoFailure(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaViolation("document", f"not UTF-8: {exc}") from None
+    except ValueError as exc:  # a NUL, or a character the file system encoding cannot take
+        raise IoFailure(f"cannot read model file {path}: {exc}") from None
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

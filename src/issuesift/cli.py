@@ -95,7 +95,13 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         raise UsageError("--interactive and --query are mutually exclusive")
     if not args.interactive and args.query is None:
         raise UsageError("either --query or --interactive is required")
-    if os.path.realpath(args.output) == os.path.realpath(args.omitted_output):
+    real = {}
+    for flag, path in (("--output", args.output), ("--omitted-output", args.omitted_output)):
+        try:
+            real[flag] = os.path.realpath(path)
+        except ValueError as exc:  # a NUL, or a surrogate the OS cannot encode (library callers only)
+            raise UsageError(f"{flag} is not a path the OS can take: {exc}") from None
+    if real["--output"] == real["--omitted-output"]:
         raise UsageError("--output and --omitted-output must differ")
     if args.interactive:
         # The prompts answer the query, limit and categories; check the other flags

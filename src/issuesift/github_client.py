@@ -4,14 +4,14 @@ Live sessions speak HTTPS to the REST v3 search and comments endpoints.
 Replay sessions answer every request from a fixture directory and never touch
 the network, which keeps tests hermetic and byte-deterministic.
 
-Fixture directory layout::
+Fixture directory layout (format 2)::
 
-    manifest.json          {"fixture_format": 1, "entries": [...]}
+    manifest.json          {"fixture_format": 2, "entries": [...]}
     NNNN.body.json         verbatim wire payload for one (endpoint, page)
-    NNNN.meta.json         {"status": 200, "headers": {...}}
 
-Each manifest entry holds ``method``, ``url`` (full URL including the query
-string), and the two file names. Repeated entries for one URL are consumed in
+Each manifest entry holds ``url`` (with its query string), the reply's integer
+``status`` and ``headers`` ({} if missing), and the ``body`` file name, all
+checked when the replay opens. Repeated entries for one URL are consumed in
 order, so a recorded rate-limit-then-200 sequence exercises the retry path.
 """
 
@@ -171,33 +171,32 @@ class ReplayTransport:
         self._lock = threading.Lock()
         self._entries: dict[tuple, deque] = {}
         try:
+            if type(manifest.get("fixture_format")) is not int or manifest["fixture_format"] != 2:
+                raise ValueError(f"fixture_format must be 2, got {manifest.get('fixture_format')!r}")
             for entry in manifest.get("entries", []):
-                key = (entry["method"].upper(), url_key(entry["url"]))
-                self._entries.setdefault(key, deque()).append((entry["meta"], entry["body"]))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                status, headers, body = entry["status"], entry.get("headers", {}), entry["body"]
+                if type(status) is not int or not isinstance(headers, dict) or not isinstance(body, str):
+                    raise TypeError(f"{entry['url']}: needs an int status, object headers and string body")
+                headers = {str(k).lower(): str(v) for k, v in headers.items()}
+                self._entries.setdefault(url_key(entry["url"]), deque()).append((status, headers, body))
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FixtureNotFound(f"malformed fixture manifest {manifest_path}: {exc!r}") from exc
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
-        method = method.upper()
-        key = (method, url_key(url, params))
+        key = url_key(url, params)
         with self._lock:
             queue = self._entries.get(key)
             if not queue:
                 raise FixtureNotFound(f"no recorded response for: {method} {canonical_url(url, params)}")
             # The last recording for a URL stays available so idempotent GETs
             # replay indefinitely; earlier ones are consumed in order.
-            meta_name, body_name = queue.popleft() if len(queue) > 1 else queue[0]
+            status, headers, body_name = queue.popleft() if len(queue) > 1 else queue[0]
         try:
-            meta = json.loads((self._dir / meta_name).read_text(encoding="utf-8"))
             body = (self._dir / body_name).read_bytes()
-            status = meta["status"]
-            headers = {str(k).lower(): str(v) for k, v in meta.get("headers", {}).items()}
-            if type(status) is not int:
-                raise TypeError(f"its meta has a non-integer status {status!r}")
-        except (OSError, ValueError, RecursionError, AttributeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the name
             where = f"{method} {canonical_url(url, params)}"
             raise FixtureNotFound(f"unreadable fixture file for {where}: {exc}") from exc
-        return TransportReply(status=status, headers=headers, body=body)
+        return TransportReply(status=status, headers=dict(headers), body=body)
 
 
 class RateGate:

@@ -54,26 +54,23 @@ def make_comment(
 
 
 class FixtureWriter:
-    """Accumulates recorded responses, then writes manifest plus files."""
+    """Accumulates recorded responses, then writes a format-2 fixture.
+
+    Each reply is one ``NNNN.body.json`` file holding its payload; its URL,
+    status and headers go in its ``manifest.json`` entry.
+    """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.entries: list[dict] = []
 
-    def add(self, url: str, payload, status: int = 200, headers: dict | None = None,
-            method: str = "GET") -> None:
-        index = len(self.entries)
-        body_name = f"{index:04d}.body.json"
-        meta_name = f"{index:04d}.meta.json"
+    def add(self, url: str, payload, status: int = 200, headers: dict | None = None) -> None:
+        body_name = f"{len(self.entries):04d}.body.json"
         (self.directory / body_name).write_text(
             json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1), encoding="utf-8"
         )
-        (self.directory / meta_name).write_text(
-            json.dumps({"status": status, "headers": headers or {}}, sort_keys=True),
-            encoding="utf-8",
-        )
-        self.entries.append({"method": method, "url": url, "body": body_name, "meta": meta_name})
+        self.entries.append({"url": url, "body": body_name, "status": status, "headers": headers or {}})
 
     def add_search_pages(self, query: str, issues: list[dict], sort: str | None = None,
                          order: str | None = None, base: str = GITHUB_API) -> None:
@@ -101,7 +98,7 @@ class FixtureWriter:
 
     def write_manifest(self) -> Path:
         (self.directory / "manifest.json").write_text(
-            json.dumps({"fixture_format": 1, "entries": self.entries}, indent=1),
+            json.dumps({"fixture_format": 2, "entries": self.entries}, indent=1),
             encoding="utf-8",
         )
         return self.directory

@@ -661,6 +661,21 @@ class TestAnyTextEndsCleanly:
         # one whole line on failure, none on success
         assert err.getvalue().count("\n") == err.getvalue().endswith("\n") == (code != 0), (code, err.getvalue())
 
+    @pytest.mark.parametrize("flag, label, code", [
+        ("--output", "usage error: --output", 1),
+        ("--omitted-output", "usage error: --omitted-output", 1),
+        ("--model", "error: cannot read model file", 3),
+    ], ids=["output", "omitted-output", "model"])
+    @pytest.mark.parametrize("path", ["m\0.csv", "m\ud800.csv"], ids=["nul", "surrogate"])
+    def test_path_the_os_cannot_take(self, flag, label, code, path, small_fixture_dir, tmp_path):
+        """A library caller may pass these; a real argv holds no NUL and no byte maps to \\ud800."""
+        err = io.StringIO()
+        assert main(["--query", "tf.function", "--fixtures", str(small_fixture_dir),
+                     "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+                     flag, path], {}, stdin=io.StringIO(), stdout=io.StringIO(), stderr=err) == code
+        assert err.getvalue().startswith(label) and err.getvalue().count("\n") == 1, err.getvalue()
+        assert list(tmp_path.iterdir()) == []
+
     @given(query=TEXT, flags=st.lists(st.tuples(st.sampled_from(VALUED_FLAGS), TEXT), max_size=4))
     @settings(max_examples=150, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

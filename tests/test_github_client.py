@@ -101,6 +101,12 @@ class TestReplayManifest:
     def fixture(tmp_path):
         return write_fixture(tmp_path / "fx", query="q", issues=[make_issue(10, 1)])
 
+    @staticmethod
+    def edit_manifest(fixture, edit):
+        manifest = json.loads((fixture / "manifest.json").read_text(encoding="utf-8"))
+        edit(manifest)
+        (fixture / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
     @pytest.mark.parametrize("manifest", ["[]", "{", "[" * 3000 + "]" * 3000],
                              ids=["list", "truncated", "too-deep"])
     def test_manifest_not_an_object(self, tmp_path, manifest):
@@ -109,13 +115,35 @@ class TestReplayManifest:
         with pytest.raises(FixtureNotFound):
             replay_session(fixture)
 
-    @pytest.mark.parametrize("key", ["method", "url", "meta", "body"])
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest.pop("fixture_format"),
+        lambda manifest: manifest.update(fixture_format=1),
+        lambda manifest: manifest.update(fixture_format="2"),
+        lambda manifest: manifest.update(fixture_format=2.0),
+    ], ids=["missing", "1", "string", "float"])
+    def test_fixture_format_other_than_2(self, tmp_path, edit):
+        fixture = self.fixture(tmp_path)
+        self.edit_manifest(fixture, edit)
+        with pytest.raises(FixtureNotFound, match="fixture_format"):
+            replay_session(fixture)
+
+    @pytest.mark.parametrize("key", ["url", "body", "status"])
     def test_entry_missing_key(self, tmp_path, key):
         fixture = self.fixture(tmp_path)
-        manifest = json.loads((fixture / "manifest.json").read_text(encoding="utf-8"))
-        del manifest["entries"][0][key]
-        (fixture / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        self.edit_manifest(fixture, lambda manifest: manifest["entries"][0].pop(key))
         with pytest.raises(FixtureNotFound):
+            replay_session(fixture)
+
+    @pytest.mark.parametrize("key, value", [
+        ("status", "200"), ("status", True), ("status", 200.0),
+        ("headers", []), ("headers", "x"), ("body", 7), ("body", ["0000.body.json"]),
+    ], ids=["status-string", "status-bool", "status-float", "headers-list", "headers-string",
+            "body-int", "body-list"])
+    def test_entry_with_bad_value(self, tmp_path, key, value):
+        """A malformed entry fails when the replay opens, before any request."""
+        fixture = self.fixture(tmp_path)
+        self.edit_manifest(fixture, lambda manifest: manifest["entries"][0].update({key: value}))
+        with pytest.raises(FixtureNotFound, match="malformed fixture manifest"):
             replay_session(fixture)
 
     def test_entry_url_that_urlsplit_rejects(self, tmp_path):
@@ -126,21 +154,22 @@ class TestReplayManifest:
         with pytest.raises(FixtureNotFound, match="Invalid IPv6 URL"):
             replay_session(fixture)
 
-    @pytest.mark.parametrize("meta", [{"headers": {}}, {"status": "200"}, {"status": True}, []],
-                             ids=["missing", "string", "bool", "not-an-object"])
-    def test_meta_without_integer_status(self, tmp_path, meta):
+    def test_missing_body_file_fails_at_its_request(self, tmp_path):
         fixture = self.fixture(tmp_path)
-        (fixture / "0000.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        (fixture / "0000.body.json").unlink()
         session = replay_session(fixture)
-        with pytest.raises(FixtureNotFound):
+        with pytest.raises(FixtureNotFound, match="^unreadable fixture file for GET .*/search/issues"):
             session.search_issues("q", limit=1)
 
-    def test_too_deeply_nested_meta_rejected(self, tmp_path):
+    def test_entry_without_headers_replays_with_empty_headers(self, tmp_path):
         fixture = self.fixture(tmp_path)
-        (fixture / "0000.meta.json").write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
-        session = replay_session(fixture)
-        with pytest.raises(FixtureNotFound):
-            session.search_issues("q", limit=1)
+        self.edit_manifest(fixture, lambda manifest: manifest["entries"][0].pop("headers"))
+        url = f"{GITHUB_API}/search/issues?q=q&per_page=100&page=1"
+        transport = ReplayTransport(fixture)
+        first = transport.request("GET", url)
+        assert (first.status, first.headers) == (200, {})
+        first.headers["x"] = "y"  # each reply gets its own copy
+        assert transport.request("GET", url).headers == {}
 
 
 class TestSearchIssues:
@@ -561,6 +590,14 @@ class TestRetryPolicy:
         session, _ = self._session(replies, fake_clock, wait_on_rate_limit=False)
         with pytest.raises(RateLimited):
             session.search_issues("q", limit=5)
+
+    def test_transient_backoff_sleeps_without_waiting_on_rate_limits(self, fake_clock):
+        """``wait_on_rate_limit=False`` refuses rate-limit waits only; a 5xx is still backed off."""
+        replies = [reply(503), reply(200, {"total_count": 0, "items": []})]
+        session, transport = self._session(replies, fake_clock, wait_on_rate_limit=False)
+        assert session.search_issues("q", limit=5) == []
+        assert len(transport.requests) == 2
+        assert len(fake_clock.sleeps) == 1
 
     def test_timeout_is_transient(self, fake_clock):
         replies = [NetworkFailure("timed out"), reply(200, {"total_count": 0, "items": []})]

@@ -71,6 +71,7 @@ HEADER_VALUE = st.one_of(
     st.sampled_from(["0", "1e309", "-1e309", "nan", "-5", "9" * 1000, "\x00", "", "2", 7, None]),
     st.text(max_size=20),
 )
+DROP = object()  # an "entry" mutation with this value removes the key
 MUTATION = st.one_of(
     st.tuples(st.just("drop"), ENTRY, ITEM, KEY),
     st.tuples(st.just("retype"), ENTRY, ITEM, KEY, VALUE),
@@ -79,7 +80,7 @@ MUTATION = st.one_of(
     st.tuples(st.just("body"), ENTRY, BODY),
     st.tuples(st.just("status"), ENTRY, STATUS),
     st.tuples(st.just("header"), ENTRY, HEADER, HEADER_VALUE),
-    st.tuples(st.just("meta"), ENTRY, st.sampled_from([[], {"status": 200, "headers": []}, "x"])),
+    st.tuples(st.just("entry"), ENTRY, st.sampled_from([("headers", []), ("headers", "x"), ("status", DROP)])),
 )
 
 
@@ -94,7 +95,8 @@ def target(payload, item):
 def write_mutated(directory: Path, mutations) -> Path:
     payloads = [json.loads(json.dumps(payload)) for _, payload, _, _ in BASE]
     bodies: dict[int, bytes] = {}
-    metas = [{"status": status, "headers": dict(headers)} for _, _, status, headers in BASE]
+    entries = [{"url": url, "body": f"{index:04d}.body.json", "status": status, "headers": dict(headers)}
+               for index, (url, _, status, headers) in enumerate(BASE)]
     for kind, entry, *args in mutations:
         if kind in ("drop", "retype", "duplicate"):
             edited = target(payloads[entry], args[0])
@@ -109,20 +111,19 @@ def write_mutated(directory: Path, mutations) -> Path:
             bodies[entry] = body[:int(len(body) * args[0])]
         elif kind == "body":
             bodies[entry] = args[0]
-        elif kind == "status" and isinstance(metas[entry], dict):
-            metas[entry]["status"] = args[0]
-        elif kind == "header" and isinstance(metas[entry], dict):
-            if isinstance(metas[entry].get("headers"), dict):
-                metas[entry]["headers"][args[0]] = args[1]
-        elif kind == "meta":
-            metas[entry] = args[0]
-    entries = []
-    for index, (url, *_) in enumerate(BASE):
-        body, meta = f"{index:04d}.body.json", f"{index:04d}.meta.json"
-        (directory / body).write_bytes(bodies.get(index, json.dumps(payloads[index]).encode()))
-        (directory / meta).write_text(json.dumps(metas[index]), encoding="utf-8")
-        entries.append({"method": "GET", "url": url, "body": body, "meta": meta})
-    (directory / "manifest.json").write_text(json.dumps({"fixture_format": 1, "entries": entries}),
+        elif kind == "status":
+            entries[entry]["status"] = args[0]
+        elif kind == "header" and isinstance(entries[entry].get("headers"), dict):
+            entries[entry]["headers"][args[0]] = args[1]
+        elif kind == "entry":
+            key, value = args[0]
+            if value is DROP:
+                entries[entry].pop(key, None)
+            else:
+                entries[entry][key] = value
+    for index, entry in enumerate(entries):
+        (directory / entry["body"]).write_bytes(bodies.get(index, json.dumps(payloads[index]).encode()))
+    (directory / "manifest.json").write_text(json.dumps({"fixture_format": 2, "entries": entries}),
                                              encoding="utf-8")
     return directory
 
@@ -166,3 +167,12 @@ def test_hostile_replay_keeps_invariants_or_fails_cleanly(mutations):
         assert set(omitted_ids) <= set(searched)
         assert {r.id for r in records} <= set(searched) - set(omitted_ids)
         assert summary.issues_classified == len(searched) - len(omitted_ids)
+
+
+def test_unmutated_fixture_runs(tmp_path):
+    """The property above is not met by a fixture that fails every run when it opens."""
+    (tmp_path / "out").mkdir()
+    result = run_to_csv(write_mutated(tmp_path, []), tmp_path / "out")
+    assert not isinstance(result, IssueSiftError), result
+    records, omitted, summary, _ = result
+    assert records and summary.issues_classified == 3  # issues 1-3 have threads; 101 is past the limit
