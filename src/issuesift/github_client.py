@@ -11,8 +11,8 @@ Fixture directory layout (format 2)::
 
 Each manifest entry holds ``url`` (with its query string), the reply's integer
 ``status`` and ``headers`` ({} if missing), and the ``body`` file name, all
-checked when the replay opens. Repeated entries for one URL are consumed in
-order, so a recorded rate-limit-then-200 sequence exercises the retry path.
+checked when the replay opens. A fixture records one reply per URL: a second
+entry for it, even with its query in another order, is refused at open.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ class LiveTransport:
 
 
 class ReplayTransport:
-    """Answers requests from a recorded fixture directory. No network, ever."""
+    """A read-only table of recorded replies, one per URL, read from a fixture
+    directory when the replay opens. No network, ever."""
 
     def __init__(self, fixture_dir: str | Path):
         self._dir = Path(fixture_dir)
@@ -168,8 +169,7 @@ class ReplayTransport:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             raise FixtureNotFound(f"unreadable fixture manifest {manifest_path}: {exc}") from exc
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, deque] = {}
+        self._entries: dict[tuple, tuple[int, dict[str, str], str]] = {}
         try:
             if type(manifest.get("fixture_format")) is not int or manifest["fixture_format"] != 2:
                 raise ValueError(f"fixture_format must be 2, got {manifest.get('fixture_format')!r}")
@@ -177,20 +177,20 @@ class ReplayTransport:
                 status, headers, body = entry["status"], entry.get("headers", {}), entry["body"]
                 if type(status) is not int or not isinstance(headers, dict) or not isinstance(body, str):
                     raise TypeError(f"{entry['url']}: needs an int status, object headers and string body")
-                headers = {str(k).lower(): str(v) for k, v in headers.items()}
-                self._entries.setdefault(url_key(entry["url"]), deque()).append((status, headers, body))
+                if body in ("", ".", "..") or "/" in body or "\\" in body:
+                    raise ValueError(f"{entry['url']}: body {body!r} is not a file name in the fixture")
+                key = url_key(entry["url"])
+                if key in self._entries:
+                    raise ValueError(f"{entry['url']}: recorded more than once")
+                self._entries[key] = (status, {str(k).lower(): str(v) for k, v in headers.items()}, body)
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FixtureNotFound(f"malformed fixture manifest {manifest_path}: {exc!r}") from exc
 
     def request(self, method: str, url: str, params: dict | None = None) -> TransportReply:
-        key = url_key(url, params)
-        with self._lock:
-            queue = self._entries.get(key)
-            if not queue:
-                raise FixtureNotFound(f"no recorded response for: {method} {canonical_url(url, params)}")
-            # The last recording for a URL stays available so idempotent GETs
-            # replay indefinitely; earlier ones are consumed in order.
-            status, headers, body_name = queue.popleft() if len(queue) > 1 else queue[0]
+        try:
+            status, headers, body_name = self._entries[url_key(url, params)]
+        except KeyError:
+            raise FixtureNotFound(f"no recorded response for: {method} {canonical_url(url, params)}") from None
         try:
             body = (self._dir / body_name).read_bytes()
         except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the name
@@ -482,7 +482,8 @@ def open_session(
     A rejected token fails the first request it is sent with, as InvalidToken.
     A live session takes GitHub's primary budgets for its credential and fetches
     LIVE_PARALLELISM threads at once. A replay session is unthrottled, and
-    ``fetch_threads`` fetches its threads one by one on the calling thread.
+    ``fetch_threads`` fetches its threads one by one on the calling thread. Given
+    no ``sleep``, a replay does not sleep: a retry would get the same reply.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
@@ -497,6 +498,7 @@ def open_session(
         if fixture_dir is None:
             raise FixtureNotFound("replay mode requires a fixture directory")
         transport = ReplayTransport(fixture_dir)
-    gate = RateGate(clock=clock or time.time, sleep=sleep or time.sleep, wait=wait_on_rate_limit,
-                    budgets=budgets)
+    if sleep is None:
+        sleep = time.sleep if mode == "live" else lambda seconds: None
+    gate = RateGate(clock=clock or time.time, sleep=sleep, wait=wait_on_rate_limit, budgets=budgets)
     return Session(transport=transport, gate=gate, parallelism=parallelism)

@@ -30,6 +30,8 @@ def _write_tables(*tables) -> list[int]:
         for index, (path, header, rows) in enumerate(tables):
             in_place = os.path.exists(path) and not os.path.isfile(path)
             target = os.path.realpath(path)
+            if any(target == moved for _, _, moved in moves):
+                raise ValueError(f"two tables would replace {target}")
             head, name = os.path.split(target)
             temp = path if in_place else os.path.join(head, f".{name}.{os.getpid()}.{index}.tmp")
             if not in_place:
@@ -74,7 +76,8 @@ def write_omitted(omitted: list[OmittedIssue], path) -> int:
 def write_report(records: list[ClassifiedRecord], omitted: list[OmittedIssue], results_path,
                  omitted_path, include_confidence: bool = False) -> tuple[int, int]:
     """Write the files of ``write_results`` and ``write_omitted`` as one commit: both are
-    written before either replaces its old file. Returns the data rows of each."""
+    written before either replaces its old file. Returns the data rows of each. Two paths
+    that would both replace one file raise ValueError and leave that file as it was."""
     return tuple(_write_tables(_results_table(records, results_path, include_confidence),
                                (omitted_path, OMITTED_COLUMNS, omitted)))
 

@@ -20,7 +20,6 @@ def make_issue(
     comments: int = 0,
     created: str = DEFAULT_CREATED,
     updated: str = DEFAULT_UPDATED,
-    base: str = GITHUB_API,
 ) -> dict:
     """One issue item as the search endpoint returns it."""
     return {
@@ -29,12 +28,12 @@ def make_issue(
         "title": title,
         "body": body,
         "html_url": f"https://github.com/{repo}/issues/{number}",
-        "url": f"{base}/repos/{repo}/issues/{number}",
-        "comments_url": f"{base}/repos/{repo}/issues/{number}/comments",
+        "url": f"{GITHUB_API}/repos/{repo}/issues/{number}",
+        "comments_url": f"{GITHUB_API}/repos/{repo}/issues/{number}/comments",
         "comments": comments,
         "created_at": created,
         "updated_at": updated,
-        "repository_url": f"{base}/repos/{repo}",
+        "repository_url": f"{GITHUB_API}/repos/{repo}",
     }
 
 
@@ -73,7 +72,7 @@ class FixtureWriter:
         self.entries.append({"url": url, "body": body_name, "status": status, "headers": headers or {}})
 
     def add_search_pages(self, query: str, issues: list[dict], sort: str | None = None,
-                         order: str | None = None, base: str = GITHUB_API) -> None:
+                         order: str | None = None) -> None:
         """Search result pages, plus the trailing empty page a full page implies."""
         pages = [issues[i : i + PAGE_SIZE] for i in range(0, len(issues), PAGE_SIZE)] or [[]]
         if len(pages[-1]) == PAGE_SIZE:
@@ -83,7 +82,7 @@ class FixtureWriter:
             if sort and sort != "best-match":
                 params += f"&sort={sort}&order={order or 'desc'}"
             self.add(
-                f"{base}/search/issues?{params}",
+                f"{GITHUB_API}/search/issues?{params}",
                 {"total_count": len(issues), "incomplete_results": False, "items": items},
             )
 

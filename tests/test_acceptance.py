@@ -13,8 +13,8 @@ import time
 
 import pytest
 
-from conftest import ClockedTransport, FakeClock, FIXTURE_SMALL, GOLDEN_DIR
-from fixtureutil import FixtureWriter, make_comment, make_issue, write_fixture
+from conftest import ClockedTransport, FakeClock, FIXTURE_SMALL, GOLDEN_DIR, ScriptedTransport, reply
+from fixtureutil import make_comment, make_issue, write_fixture
 from test_classifier import oracle_argmax, oracle_log_posteriors
 
 from issuesift.classifier import (
@@ -30,7 +30,7 @@ from issuesift.classifier import (
     train_baseline,
 )
 from issuesift.cli import main
-from issuesift.github_client import GITHUB_API, RawComment, ReplayTransport, open_session
+from issuesift.github_client import RawComment, ReplayTransport, open_session
 from issuesift.pipeline import QuerySpec, run
 from issuesift.text_prep import PrepConfig, preprocess_comment, replace_tokens
 
@@ -178,14 +178,12 @@ def test_c5_rate_limiter(tmp_path):
         in_window = [t for t in times if anchor <= t < anchor + 60.0]
         assert len(in_window) <= 30, f"{len(in_window)} dispatches in window at {anchor}"
 
-    # recorded 403 with Retry-After: 7, then success
-    writer = FixtureWriter(tmp_path / "retry")
-    url = f"{GITHUB_API}/search/issues?q=limited&per_page=100&page=1"
-    writer.add(url, {"message": "slow down"}, status=403, headers={"Retry-After": "7"})
-    writer.add(url, {"total_count": 0, "items": []})
-    writer.write_manifest()
+    # a 403 with Retry-After: 7, then success
     clock2 = FakeClock()
-    transport2 = ClockedTransport(ReplayTransport(tmp_path / "retry"), clock2.time)
+    transport2 = ClockedTransport(ScriptedTransport([
+        reply(403, {"message": "slow down"}, {"Retry-After": "7"}),
+        reply(200, {"total_count": 0, "items": []}),
+    ]), clock2.time)
     session2 = open_session(None, mode="replay", transport=transport2,
                             clock=clock2.time, sleep=clock2.sleep)
     started = clock2.time()

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -269,6 +270,22 @@ class TestMain:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "r.csv").read_bytes() == (GOLDEN_DIR / "results.csv").read_bytes()
         assert (tmp_path / "o.csv").read_bytes() == (GOLDEN_DIR / "omitted.csv").read_bytes()
+
+    def test_replay_retries_without_sleeping(self, tmp_path, monkeypatch):
+        """A retry in a replay gets the same reply, so its backoff does not sleep."""
+        issue = make_issue(10, 1, title="tf.function", comments=1)
+        writer = FixtureWriter(tmp_path / "fx")
+        writer.add_search_pages("tf.function", [issue])
+        writer.add(f"{issue['comments_url']}?per_page=100&page=1", {"message": "unavailable"}, status=503)
+        writer.write_manifest()
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail(f"slept {seconds} s"))
+        code, _, err = self.run_main([
+            "--query", "tf.function", "--fixtures", str(tmp_path / "fx"),
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 0, err
+        with open(tmp_path / "o.csv", encoding="utf-8", newline="") as handle:
+            assert [(row["id"], row["reason"]) for row in csv.DictReader(handle)] == [("10", "fetch_failed")]
 
     def test_usage_error_exit_1(self):
         code, _, err = self.run_main(["--limit", "5"])

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import textwrap
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import quote, quote_plus, urlsplit
@@ -90,6 +92,15 @@ class TestOpenSession:
         with pytest.raises(FixtureNotFound):
             open_session(None, mode="replay")
 
+    @pytest.mark.parametrize("mode, slept", [("live", 1), ("replay", 0)])
+    def test_default_sleep_follows_mode(self, monkeypatch, mode, slept):
+        """Given no ``sleep``, a live session backs off on time.sleep; a replay does not sleep."""
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        transport = ScriptedTransport([reply(503), reply(200, {"total_count": 0, "items": []})])
+        assert open_session(None, mode=mode, transport=transport).search_issues("q", limit=5) == []
+        assert len(transport.requests) == 2 and len(sleeps) == slept
+
     def test_pool_size_follows_mode(self):
         """A replay has no network wait to overlap, so it fetches one thread at a time."""
         assert open_session(None, mode="replay", transport=ScriptedTransport([])).parallelism == 1
@@ -137,13 +148,28 @@ class TestReplayManifest:
     @pytest.mark.parametrize("key, value", [
         ("status", "200"), ("status", True), ("status", 200.0),
         ("headers", []), ("headers", "x"), ("body", 7), ("body", ["0000.body.json"]),
+        ("body", "../outside.json"), ("body", "/0000.body.json"), ("body", "sub/0000.body.json"),
+        ("body", "..\\outside.json"), ("body", ""), ("body", "."), ("body", ".."),
     ], ids=["status-string", "status-bool", "status-float", "headers-list", "headers-string",
-            "body-int", "body-list"])
+            "body-int", "body-list", "body-parent", "body-absolute", "body-subdir",
+            "body-backslash", "body-empty", "body-dot", "body-dotdot"])
     def test_entry_with_bad_value(self, tmp_path, key, value):
         """A malformed entry fails when the replay opens, before any request."""
         fixture = self.fixture(tmp_path)
         self.edit_manifest(fixture, lambda manifest: manifest["entries"][0].update({key: value}))
         with pytest.raises(FixtureNotFound, match="malformed fixture manifest"):
+            replay_session(fixture)
+
+    @pytest.mark.parametrize("url", [
+        f"{GITHUB_API}/search/issues?q=q&per_page=100&page=1",
+        f"{GITHUB_API}/search/issues?page=1&per_page=100&q=q",
+    ], ids=["same", "query-reordered"])
+    def test_url_recorded_twice(self, tmp_path, url):
+        """A fixture holds one reply per URL: a second entry for it fails when the replay opens."""
+        fixture = self.fixture(tmp_path)
+        self.edit_manifest(fixture, lambda manifest: manifest["entries"].append(
+            {**manifest["entries"][0], "url": url}))
+        with pytest.raises(FixtureNotFound, match=re.escape(f"{url}: recorded more than once")):
             replay_session(fixture)
 
     def test_entry_url_that_urlsplit_rejects(self, tmp_path):

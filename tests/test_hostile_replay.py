@@ -1,11 +1,13 @@
 """Property: a run over hostile replay payloads keeps its invariants or fails cleanly.
 
-A recorded fixture (two search pages, threads of 2, 100 + 1 and 1 comments, one
-recorded 429 before a 200) is mutated: keys dropped, values retyped, ids
-duplicated across pages, bodies truncated or replaced, statuses and headers made
-odd. Each run must either keep conservation (searched = classified + omitted,
-each issue once) and determinism (two runs, the same CSV bytes), or raise an
-IssueSiftError, and do the same on the second run.
+A recorded fixture (two search pages, threads of 2, 100 + 1 and 1 comments, and
+one thread whose page always answers 429, so every run retries on a simulated
+clock) is mutated: keys dropped, values retyped, ids duplicated across pages,
+bodies truncated or replaced, statuses and headers made odd. A fixture records
+one reply per URL, so a retry gets the same reply again. Each run must either
+keep conservation (searched = classified + omitted, each issue once) and
+determinism (two runs, the same CSV bytes), or raise an IssueSiftError, and do
+the same on the second run.
 """
 
 import json
@@ -33,7 +35,7 @@ PREP = PrepConfig.default()
 
 def base_entries():
     """(url, payload, status, headers) per recording, in manifest order."""
-    comment_counts = {1: 2, 2: PAGE_SIZE + 1, 3: 1, 101: 1}
+    comment_counts = {1: 2, 2: PAGE_SIZE + 1, 3: 1, 4: 1, 101: 1}
     issues = [make_issue(i, i, title=f"{QUERY} {i}", comments=comment_counts.get(i, 0))
               for i in range(1, PAGE_SIZE + 4)]
     search = f"{GITHUB_API}/search/issues?q={QUERY}&per_page={PAGE_SIZE}&page="
@@ -48,9 +50,10 @@ def base_entries():
         next_id += len(thread)
         for page in range(1, len(thread) // PAGE_SIZE + 2):
             url = f"{issue['comments_url']}?per_page={PAGE_SIZE}&page={page}"
-            if issue["id"] == 3:
+            if issue["id"] == 4:  # every try is rate-limited: the retry path, then fetch_failed
                 entries.append((url, {"message": "slow down"}, 429, {"retry-after": "2"}))
-            entries.append((url, thread[(page - 1) * PAGE_SIZE:page * PAGE_SIZE], 200, {}))
+            else:
+                entries.append((url, thread[(page - 1) * PAGE_SIZE:page * PAGE_SIZE], 200, {}))
     return entries
 
 
@@ -176,3 +179,4 @@ def test_unmutated_fixture_runs(tmp_path):
     assert not isinstance(result, IssueSiftError), result
     records, omitted, summary, _ = result
     assert records and summary.issues_classified == 3  # issues 1-3 have threads; 101 is past the limit
+    assert (4, "fetch_failed") in {(o.id, o.reason) for o in omitted}  # its 429 was retried 4 times

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import stat
 import tempfile
 import threading
@@ -190,6 +191,23 @@ class TestWriteReport:
         assert results.read_bytes() == results_before
         assert omitted.read_bytes() == omitted_before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["omitted.csv", "results.csv"]
+
+
+    @pytest.mark.parametrize("alias", ["same-path", "symlink", "new-file"])
+    def test_two_names_for_one_file_replace_nothing(self, tmp_path, alias):
+        results, _, results_before, _ = self.old_files(tmp_path)
+        first = second = tmp_path / "new.csv" if alias == "new-file" else results
+        if alias == "symlink":
+            second = tmp_path / "link.csv"
+            second.symlink_to(results)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(ValueError, match=re.escape(os.path.realpath(first))):
+            write_report([record("new row")], [omission("no_discussion")], first, second)
+        assert results.read_bytes() == results_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == names  # no temp file left behind
+
+    def test_two_streams_are_both_written_in_place(self):
+        assert write_report([record("row")], [omission("no_discussion")], os.devnull, os.devnull) == (1, 1)
 
 
 def ref_write_results(records, path, include_confidence=False):
