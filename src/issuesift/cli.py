@@ -95,6 +95,10 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
         raise UsageError("--interactive and --query are mutually exclusive")
     if not args.interactive and args.query is None:
         raise UsageError("either --query or --interactive is required")
+    # "" would quietly mean going live, the bundled model, or the working directory.
+    for flag in ("--fixtures", "--model", "--output", "--omitted-output"):
+        if vars(args)[flag[2:].replace("-", "_")] == "":
+            raise UsageError(f"{flag} must not be empty")
     real = {}
     for flag, path in (("--output", args.output), ("--omitted-output", args.omitted_output)):
         try:

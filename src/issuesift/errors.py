@@ -17,7 +17,7 @@ class GitHubError(IssueSiftError):
 
 
 class InvalidToken(GitHubError):
-    """The API rejected the supplied credential (HTTP 401)."""
+    """The credential is not a bearer token, or the API rejected it (HTTP 401)."""
 
 
 class QueryRejected(GitHubError):

@@ -21,6 +21,7 @@ import json
 import itertools
 import math
 import random
+import re
 import threading
 import time
 from collections import deque
@@ -131,6 +132,11 @@ def canonical_url(url: str, params: dict | None = None) -> str:
     return urlunsplit((scheme, netloc, path, urlencode(items), ""))
 
 
+# A bearer credential's syntax, b64token:
+# https://datatracker.ietf.org/doc/html/rfc6750#section-2.1
+_B64TOKEN_RE = re.compile(r"(?:[A-Za-z0-9._~+/-]+=*)?")
+
+
 class LiveTransport:
     """Thin wrapper over a requests.Session with the standard GitHub headers.
 
@@ -139,6 +145,10 @@ class LiveTransport:
     """
 
     def __init__(self, token: str | None):
+        valid = _B64TOKEN_RE.match(token or "").end()
+        if token and valid < len(token):  # the message never holds any part of the token
+            raise InvalidToken(f"the token breaks RFC 6750's b64token syntax at character {valid + 1}: "
+                               "it allows only A-Z a-z 0-9 - . _ ~ + / and a trailing =")
         import requests
 
         self._errors = requests.RequestException
@@ -479,7 +489,8 @@ def open_session(
 ) -> Session:
     """Create a live or replay session. Opening one sends no request.
 
-    A rejected token fails the first request it is sent with, as InvalidToken.
+    A live token that is not an RFC 6750 b64token raises InvalidToken here; a
+    rejected one fails the first request it is sent with, as InvalidToken.
     A live session takes GitHub's primary budgets for its credential and fetches
     LIVE_PARALLELISM threads at once. A replay session is unthrottled, and
     ``fetch_threads`` fetches its threads one by one on the calling thread. Given

@@ -21,23 +21,25 @@ def _write_tables(*tables) -> list[int]:
     """Write each ``(path, header, rows)`` table; returns each one's data-row count.
 
     Rows go straight to disk: no copy of a whole CSV is built in memory. Regular or
-    new files are written through temp files beside them, which replace them only
-    once every table is in, so a failed write leaves all old files as they were.
-    Anything else, such as /dev/stdout, is written in place and cannot be rolled back.
+    new files are written through new, randomly named temp files beside them, which
+    replace them only once every table is in, so a failed write leaves all old files
+    as they were. Anything else, such as /dev/stdout, is written in place and cannot
+    be rolled back.
     """
     counts, moves = [], []  # moves: (path, temp, target) still to os.replace
     try:
-        for index, (path, header, rows) in enumerate(tables):
+        for path, header, rows in tables:
             in_place = os.path.exists(path) and not os.path.isfile(path)
             target = os.path.realpath(path)
             if any(target == moved for _, _, moved in moves):
                 raise ValueError(f"two tables would replace {target}")
-            head, name = os.path.split(target)
-            temp = path if in_place else os.path.join(head, f".{name}.{os.getpid()}.{index}.tmp")
-            if not in_place:
-                moves.append((path, temp, target))
+            temp = path if in_place else os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
             count = 0
-            with open(temp, "w", encoding="utf-8", newline="") as handle:
+            # "x" makes the temp file or fails: whatever is at its name already,
+            # a planted symlink say, is neither written through nor removed.
+            with open(temp, "w" if in_place else "x", encoding="utf-8", newline="") as handle:
+                if not in_place:
+                    moves.append((path, temp, target))
                 writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
                 writer.writerow(header)
                 for count, row in enumerate(rows, 1):

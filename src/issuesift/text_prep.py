@@ -1,11 +1,11 @@
 """Turns raw GitHub comment markdown into classifier-ready token lines.
 
-Code spans, URLs, @-mentions, and quoted spans collapse to the fixed
-placeholder tokens CODE, URL, SCREEN_NAME and QUOTE (`replace_tokens`), which
-any model trained on the cleaned text relies on. `preprocess_comment` runs the
-whole cleaning: that step, the line split, and each line's tokens under the
-configured stop list. Everything here is a pure function of (input, config),
-so callers may parallelize freely.
+In one pass, code spans, URLs, @-mentions, and quoted spans collapse to the
+fixed placeholder tokens CODE, URL, SCREEN_NAME and QUOTE (`replace_tokens`),
+which any model trained on the cleaned text relies on. `preprocess_comment`
+runs the whole cleaning: that step, the line split, and each line's tokens
+under the configured stop list. Everything here is a pure function of
+(input, config), so callers may parallelize freely.
 """
 
 from __future__ import annotations
@@ -88,9 +88,17 @@ def default_stop_words() -> frozenset[str]:
     return frozenset(word for word in words if word and not word.startswith("#"))
 
 
-def _replace_once(text: str) -> str:
+def replace_tokens(body: str) -> str:
+    """Collapse code spans, URLs, mentions, and quoted spans to placeholders.
+
+    One pass in precedence order, then the mention rule once more, is the fixed
+    point. The code rules leave no backtick, and placeholders are letters and "_",
+    so no replacement makes a backtick, "://" or a quote. Only a quote rule can
+    expose a match, a mention ("@'bob'" -> "@QUOTE"), and a mention writes no quote.
+    """
     # A stage whose trigger character is absent cannot match, so its sub
     # would return the text unchanged; skipping it keeps the precedence.
+    text = body
     if "`" in text:
         text = _FENCED_CODE_RE.sub(CODE_TOKEN, text)
         text = _DOUBLE_TICK_RE.sub(CODE_TOKEN, text)
@@ -104,24 +112,8 @@ def _replace_once(text: str) -> str:
         text = _DQUOTE_RE.sub(QUOTE_TOKEN, text)
     if "'" in text:
         text = _SQUOTE_RE.sub(QUOTE_TOKEN, text)
-    return text
-
-
-def replace_tokens(body: str) -> str:
-    """Collapse code spans, URLs, mentions, and quoted spans to placeholders.
-
-    The rule set is re-applied until the text stops changing (at most a couple
-    of passes): a late-stage replacement can leave an earlier-stage pattern
-    exposed, e.g. quote replacement in "@'bob'" yields "@QUOTE", which is a
-    mention-shaped string and must itself be replaced. Iterating to the fixed
-    point makes the whole operation idempotent.
-    """
-    text = body
-    for _ in range(4):
-        replaced = _replace_once(text)
-        if replaced == text:
-            break
-        text = replaced
+    if "@" in text:
+        text = _MENTION_RE.sub(SCREEN_NAME_TOKEN, text)
     return text
 
 

@@ -83,6 +83,14 @@ class TestParseArgs:
             parse_args(["--query", "x", "--output", str(tmp_path / "real" / "out.csv"),
                         "--omitted-output", str(tmp_path / "link" / "out.csv")], {})
 
+    @pytest.mark.parametrize("flag", ["--fixtures", "--model", "--output", "--omitted-output"])
+    def test_empty_path_flag_rejected(self, flag):
+        with pytest.raises(UsageError, match=f"^{flag} must not be empty$"):
+            parse_args(["--query", "x", flag, ""], {})
+
+    def test_empty_token_flag_runs_anonymously(self):
+        assert not parse_args(["--query", "x", "--token", ""], {"GITHUB_TOKEN": "env-token"}).token
+
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
             parse_args(["--query", "x", "--frobnicate"], {})
@@ -334,6 +342,34 @@ class TestMain:
         assert "credential rejected" in err and "/search/issues" in err
         assert "searching for" in out and "issues searched" not in out
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("token", ["ghp_fakeSecret123\r", "ghp_fakeSecret123\n", "ghp fakeSecret123",
+                                       "ghp_fakeSecret123\u2713"], ids=["cr", "lf", "space", "non-ascii"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_malformed_token_exit_2_without_echo(self, tmp_path, monkeypatch, token, source):
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail(f"slept {seconds} s"))
+        monkeypatch.setattr(requests.Session, "request", lambda *args, **kwargs: pytest.fail("sent a request"))
+        argv, env = (["--token", token], {}) if source == "flag" else ([], {"GITHUB_TOKEN": token})
+        code, out, err = self.run_main([
+            "--query", "tf.function", *argv,
+            "--output", str(tmp_path / "r.csv"), "--omitted-output", str(tmp_path / "o.csv"),
+        ], env)
+        assert code == 2
+        assert err.startswith("error: the token breaks RFC 6750") and err.count("\n") == 1, err
+        assert "fakeSecret" not in out + err and "ghp" not in out + err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_long_output_name_exit_0(self, small_fixture_dir, tmp_path):
+        """The temp file beside the target does not take the target's name into its own."""
+        results = tmp_path / ("r" * 245 + ".csv")
+        code, _, err = self.run_main([
+            "--query", "tf.function", "--fixtures", str(small_fixture_dir),
+            "--output", str(results), "--omitted-output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 0, err
+        assert len(results.name) == 249
+        assert results.read_bytes() == (GOLDEN_DIR / "results.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", results.name]
 
     def test_unwritable_output_exit_3(self, small_fixture_dir, tmp_path):
         blocker = tmp_path / "results.csv"

@@ -84,6 +84,23 @@ class TestOpenSession:
             session.search_issues("q", limit=5)
         assert len(transport.requests) == 1
 
+    @pytest.mark.parametrize("token, position", [
+        ("ghp_fakeSecret123\r", 18), ("ghp_fakeSecret123\n", 18), ("ghp fakeSecret123", 4),
+        ("ghp_fakeSecret123\u2713", 18),
+    ], ids=["cr", "lf", "space", "non-ascii"])
+    def test_malformed_token_sends_nothing_and_is_not_echoed(self, monkeypatch, token, position):
+        """A bearer token is an RFC 6750 b64token; anything else fails before a request or a
+        sleep, naming the 1-based position of the first character it does not allow."""
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail(f"slept {seconds} s"))
+        monkeypatch.setattr(requests.Session, "request", lambda *args, **kwargs: pytest.fail("sent a request"))
+        with pytest.raises(InvalidToken, match=f"b64token syntax at character {position}:") as excinfo:
+            open_session(token, mode="live")
+        assert "fakeSecret" not in str(excinfo.value) and "ghp" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("token", ["t", "token", "secret-token", "ghp_benchmark", "a.b~c+d/e=="])
+    def test_bearer_token_syntax_accepted(self, token):
+        open_session(token, mode="live")  # opening sends nothing
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             open_session(None, mode="cached")

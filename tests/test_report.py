@@ -132,6 +132,25 @@ class TestReplaceOnSuccess:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
+    def test_planted_symlink_at_the_temp_name_is_not_followed(self, tmp_path, monkeypatch):
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"keep me\n")
+        monkeypatch.setattr(os, "urandom", lambda size: bytes(size))  # the temp name's random part
+        planted = tmp_path / f".{bytes(8).hex()}.tmp"
+        planted.symlink_to(victim)
+        with pytest.raises(IoFailure, match="File exists"):
+            write_omitted([], tmp_path / "omitted.csv")
+        assert victim.read_bytes() == b"keep me\n"
+        assert planted.is_symlink()  # not this call's file, so not removed either
+        assert sorted(p.name for p in tmp_path.iterdir()) == [planted.name, "victim.txt"]
+
+    def test_new_file_mode_is_that_of_open_w(self, tmp_path):
+        write_omitted([], tmp_path / "omitted.csv")
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("omitted.csv", "plain.csv")}
+        assert len(modes) == 1
+
     def test_symlink_is_written_through(self, tmp_path):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         link.symlink_to(real)

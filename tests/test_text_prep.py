@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -338,3 +339,27 @@ class TestMatchesReference:
     def test_preprocess_comment(self, text, config):
         raw = comment(text)
         assert preprocess_comment(raw, config) == ref_preprocess_comment(raw, config)
+
+    # "@" right before a quoted span: the quote rules leave "@QUOTE", which only
+    # the trailing mention run in replace_tokens turns into SCREEN_NAME. In
+    # "@-'x'" the mention "@-" goes first, so the quote after it stays.
+    @pytest.mark.parametrize("text, expected", [
+        ("@'bob'", "SCREEN_NAME"),
+        ('@"x"', "SCREEN_NAME"),
+        ("-@'x'", "-SCREEN_NAME"),
+        ("@'x'-\"y\"", "SCREEN_NAME"),
+        ("@-'x'", "SCREEN_NAME'x'"),
+    ])
+    def test_mention_before_quote(self, text, expected):
+        assert ref_replace_tokens(text) == expected
+        assert replace_tokens(text) == expected
+
+    def test_every_short_string(self):
+        """Every string of up to 5 symbols over the characters the rules react to."""
+        symbols = ["@", "'", '"', "`", "a", "-", " ", "\n", "http://", "_"]
+        for size in range(6):
+            for parts in itertools.product(symbols, repeat=size):
+                text = "".join(parts)
+                out = replace_tokens(text)
+                assert out == ref_replace_tokens(text), text
+                assert replace_tokens(out) == out, text
