@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
 from itertools import repeat
@@ -51,17 +51,20 @@ DEFAULT_CATEGORIES = (
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Ordered, unique category names. Order matters: ties break low-index."""
+    """Ordered category names. Order matters: ties break low-index.
+
+    Each name is a non-empty str, unique regardless of case, else ValueError.
+    """
 
     categories: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.categories:
-            raise ValueError("taxonomy must contain at least one category")
+        if not self.categories or isinstance(self.categories, str):
+            raise ValueError(f"taxonomy must be a non-empty sequence of names, got {self.categories!r}")
         seen = set()
         for name in self.categories:
-            if not name:
-                raise ValueError("category names must be non-empty")
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"category names must be non-empty strings, got {name!r}")
             key = name.lower()
             if key in seen:
                 raise ValueError(f"duplicate category name (case-insensitive): {name!r}")
@@ -102,10 +105,11 @@ def _finite_numbers(values) -> bool:
 class ModelFile:
     """Serialized linear classifier: taxonomy, vocabulary, weights, bias.
 
-    A model is checked when it is built, whether loaded, trained or constructed
-    in code: a bad field raises SchemaViolation naming it. Scoring reads a
-    column-major copy of the weights built on the first prediction, so a model
-    must not be mutated once it has scored a line.
+    Every rule on a model is checked here, when it is built: loaded, trained,
+    constructed in code or rebuilt by save_model. A bad field raises
+    SchemaViolation naming it; numbers are checked as given, then stored as
+    float copies. Scoring reads a column-major copy of the weights built on
+    the first prediction, so a model must not be mutated once it has scored.
     """
 
     format_version: int
@@ -116,15 +120,6 @@ class ModelFile:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.validate()
-        self.weights = [[float(x) for x in row] for row in self.weights]
-        self.bias = [float(x) for x in self.bias]
-
-    def validate(self) -> None:
-        """Check every structural invariant; raises SchemaViolation.
-
-        Numbers are checked as they were given, before any float() conversion.
-        """
         _check_version(self.format_version)
         if not isinstance(self.taxonomy, Taxonomy):
             raise SchemaViolation("taxonomy", "must be a Taxonomy")
@@ -140,8 +135,7 @@ class ModelFile:
         v = len(self.vocabulary)
         if not {type(index) for index in self.vocabulary.values()} <= {int}:
             raise SchemaViolation("vocabulary", "must map tokens to integer indexes")
-        indexes = sorted(self.vocabulary.values())
-        if indexes != list(range(v)):
+        if sorted(self.vocabulary.values()) != list(range(v)):
             raise SchemaViolation("vocabulary", "indexes must cover 0..V-1 exactly once")
         for token in self.vocabulary:
             if not isinstance(token, str) or not token:
@@ -162,6 +156,8 @@ class ModelFile:
         for key, value in self.metadata.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise SchemaViolation("metadata", f"entries must be string/string, got {key!r}")
+        self.weights = [[float(x) for x in row] for row in self.weights]
+        self.bias = [float(x) for x in self.bias]
 
     @cached_property
     def _columns(self) -> dict[str, tuple[float, ...]]:
@@ -180,14 +176,14 @@ class Prediction(NamedTuple):
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Training examples: (tokens, category) pairs."""
+    """Training examples: (tokens, category) pairs; tokens are a sequence of non-empty str."""
 
     examples: tuple[tuple[tuple[str, ...], str], ...]
 
     def __post_init__(self):
         for tokens, category in self.examples:
-            if not tokens:
-                raise ValueError(f"example labeled {category!r} has no tokens")
+            if not tokens or isinstance(tokens, str) or not all(isinstance(t, str) and t for t in tokens):
+                raise ValueError(f"examples: {category!r} example needs non-empty str tokens, got {tokens!r}")
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -199,17 +195,14 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
     if "format_version" in doc:
         _check_version(doc["format_version"])  # first: another version may have another layout
     top_level_fields = {f.name for f in fields(ModelFile)}
-    missing = top_level_fields - doc.keys()
-    if missing:
+    if missing := top_level_fields - doc.keys():
         raise SchemaViolation(sorted(missing)[0], "required field missing")
-    extra = doc.keys() - top_level_fields
-    if extra:
+    if extra := doc.keys() - top_level_fields:
         raise SchemaViolation(sorted(extra)[0], "unexpected top-level field")
-    taxonomy_field = doc["taxonomy"]
-    if not isinstance(taxonomy_field, list) or not all(isinstance(n, str) for n in taxonomy_field):
-        raise SchemaViolation("taxonomy", "must be a list of strings")
+    if not isinstance(doc["taxonomy"], list):
+        raise SchemaViolation("taxonomy", "must be a list of category names")
     try:
-        taxonomy = Taxonomy(tuple(taxonomy_field))
+        taxonomy = Taxonomy(tuple(doc["taxonomy"]))
     except ValueError as exc:
         raise SchemaViolation("taxonomy", str(exc)) from None
     return ModelFile(**{**doc, "taxonomy": taxonomy})
@@ -242,17 +235,12 @@ def load_default_model() -> ModelFile:
 def save_model(model: ModelFile, path: str | Path) -> None:
     """Write the canonical on-disk form: sorted keys, lossless number text.
 
-    Two saves of the same model produce byte-identical files.
+    The model is built again first, so a field reassigned since it was built
+    raises SchemaViolation and nothing is written. Two saves of the same model
+    produce byte-identical files.
     """
-    model.validate()
-    doc = {
-        "format_version": model.format_version,
-        "taxonomy": list(model.taxonomy.categories),
-        "vocabulary": model.vocabulary,
-        "weights": [[float(x) for x in row] for row in model.weights],
-        "bias": [float(x) for x in model.bias],
-        "metadata": model.metadata,
-    }
+    model = replace(model)
+    doc = {f.name: getattr(model, f.name) for f in fields(model)} | {"taxonomy": list(model.taxonomy)}
     text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")

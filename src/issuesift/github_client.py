@@ -58,7 +58,7 @@ MAX_HEADER_WAIT = 3600.0  # GitHub's longest rate window
 # https://docs.github.com/en/rest/using-the-rest-api/rate-limits-for-the-rest-api
 SECONDARY_LIMIT_WAIT = 60.0
 REQUEST_TIMEOUT = 30.0
-# Comment threads a live session fetches at once; not yet measured against GitHub (item 4).
+# Comment threads a live session fetches at once; not yet measured against GitHub.
 LIVE_PARALLELISM = 4
 
 SORT_KEYS = ("best-match", "comments", "created", "updated", "reactions")

@@ -50,11 +50,15 @@ _EDGE_KEEP = frozenset("/#_")
 
 @dataclass(frozen=True)
 class PrepConfig:
-    """Immutable preprocessing configuration: the stop words to drop."""
+    """Immutable preprocessing configuration: the stop words to drop, a set of str.
+
+    A bare string, a non-str word or a placeholder token raises ValueError.
+    """
 
     stop_words: frozenset[str]
 
     def __post_init__(self):
+        _check_words("stop_words", self.stop_words)
         # Stop lists are lowercase words, so "code" is fine: removal exempts placeholders.
         if not PLACEHOLDERS.isdisjoint(self.stop_words):
             raise ValueError(f"stop words {sorted(PLACEHOLDERS & self.stop_words)} are placeholder tokens")
@@ -63,8 +67,14 @@ class PrepConfig:
 
     @classmethod
     def default(cls, extra_stop_words: frozenset[str] = frozenset()) -> "PrepConfig":
-        """Config backed by the vendored English stop-word list plus any extra words."""
+        """Config backed by the vendored English stop-word list plus a set of extra words."""
+        _check_words("extra_stop_words", extra_stop_words)
         return cls(stop_words=default_stop_words().union(extra_stop_words))
+
+
+def _check_words(name: str, words) -> None:
+    if not isinstance(words, (set, frozenset)) or not all(isinstance(w, str) for w in words):
+        raise ValueError(f"{name} must be a set of strings, got {words!r}")
 
 
 class ProcessedLine(NamedTuple):

@@ -142,6 +142,12 @@ class TestTrainBaseline:
         with pytest.raises(ValueError):
             LabeledCorpus((((), "A"),))
 
+    @pytest.mark.parametrize("tokens", ["thanks", ("x", 1), ("x", "")],
+                             ids=["bare-string", "int-token", "empty-token"])
+    def test_example_tokens_must_be_non_empty_strings(self, tokens):
+        with pytest.raises(ValueError, match="^examples: "):
+            LabeledCorpus(((tokens, "A"), (("y",), "B")))
+
     def test_metadata_adds_to_and_overrides_trainer_keys(self):
         corpus = LabeledCorpus(((("x",), "A"), (("y",), "B")))
         model = train_baseline(corpus, TWO_CLASS, alpha=1.0, metadata={"trainer": "mine", "source": "x"})
@@ -237,6 +243,12 @@ class TestSerialization:
         with pytest.raises(IoFailure):
             save_model(two_class_model(), tmp_path)  # a directory, not a file
 
+    def test_bundled_model_saves_byte_for_byte(self, tmp_path):
+        from importlib import resources
+        save_model(load_default_model(), tmp_path / "saved.json")
+        bundled = resources.files("issuesift").joinpath("data/baseline_model.json").read_bytes()
+        assert (tmp_path / "saved.json").read_bytes() == bundled
+
     def test_bundled_model_is_consistent(self):
         model = load_default_model()
         assert len(model.taxonomy) == len(default_taxonomy())
@@ -305,13 +317,14 @@ class TestSerialization:
     @pytest.mark.parametrize("field, value", [
         ("taxonomy", "AB"),
         ("taxonomy", ["A", 1]),
+        ("taxonomy", ["A", ["B"]]),
         ("taxonomy", ["A", "a"]),
         ("taxonomy", ["A", ""]),
         ("vocabulary", {"bug": 0.0, "fix": 1, "thanks": 2}),
         ("vocabulary", {"": 0, "fix": 1, "thanks": 2}),
         ("metadata", {"k": 1}),
-    ], ids=["string-taxonomy", "int-category", "case-duplicate-category", "empty-category",
-            "float-vocab-index", "empty-vocab-token", "int-metadata-value"])
+    ], ids=["string-taxonomy", "int-category", "list-category", "case-duplicate-category",
+            "empty-category", "float-vocab-index", "empty-vocab-token", "int-metadata-value"])
     def test_bad_field_names_the_field(self, tmp_path, field, value):
         with pytest.raises(SchemaViolation) as excinfo:
             load_model(self._write(tmp_path, {**self._doc(), field: value}))
@@ -401,6 +414,13 @@ class TestModelFileChecks:
         model = ModelFile(**{**self.good_fields(), "weights": [[1, 2, 3], [4, 5, 6]], "bias": [0, -1]})
         assert model.weights == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         assert all(type(x) is float for x in model.bias + model.weights[0] + model.weights[1])
+
+    def test_save_writes_float_copies_of_reassigned_numbers(self, tmp_path):
+        model = two_class_model()
+        model.bias = [0, -1]
+        save_model(model, tmp_path / "model.json")
+        saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        assert saved["bias"] == [0.0, -1.0] and all(type(x) is float for x in saved["bias"])
 
     def test_save_after_field_reassigned(self, tmp_path):
         model = two_class_model()
@@ -546,6 +566,12 @@ class TestTaxonomy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Taxonomy(())
+
+    @pytest.mark.parametrize("categories", [("A", 1), ("A", b"B"), ("A", None), "AB"],
+                             ids=["int-name", "bytes-name", "none-name", "bare-string"])
+    def test_names_must_be_strings(self, categories):
+        with pytest.raises(ValueError):
+            Taxonomy(categories)
 
 
 def ref_predict_line(model, tokens):

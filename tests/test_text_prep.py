@@ -167,6 +167,21 @@ class TestConfig:
     def test_lowercase_stop_word_matching_placeholder_is_fine(self):
         PrepConfig(stop_words=frozenset({"url", "code"}))
 
+    @pytest.mark.parametrize("stop_words", ["the", ["the"], frozenset({1}), None],
+                             ids=["bare-string", "list", "int-word", "none"])
+    def test_stop_words_must_be_a_set_of_strings(self, stop_words):
+        with pytest.raises(ValueError, match="^stop_words "):
+            PrepConfig(stop_words=stop_words)
+
+    @pytest.mark.parametrize("extra", ["lgtm", ("lgtm",), {b"lgtm"}],
+                             ids=["bare-string", "tuple", "bytes-word"])
+    def test_extra_stop_words_must_be_a_set_of_strings(self, extra):
+        with pytest.raises(ValueError, match="^extra_stop_words "):
+            PrepConfig.default(extra)
+
+    def test_plain_set_of_extra_words_accepted(self):
+        assert "lgtm" in PrepConfig.default({"LGTM"}).stop_words
+
     def test_default_loads_vendored_list(self):
         stops = default_stop_words()
         assert {"the", "is", "don't", "wouldn't"} <= stops
