@@ -18,7 +18,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from issuesift.classifier import LabeledCorpus, default_taxonomy, save_model, train_baseline
+from issuesift.classifier import default_taxonomy, load_corpus, save_model, train_baseline
 from issuesift.text_prep import default_stop_words
 
 SEED = 20240331
@@ -120,9 +120,8 @@ def main() -> None:
     corpus_path = DATA_DIR / "training_corpus.csv"
     corpus_path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
-    corpus = LabeledCorpus(tuple((tuple(text.split()), category) for category, text in rows))
     model = train_baseline(
-        corpus,
+        load_corpus(corpus_path),
         default_taxonomy(),
         alpha=1.0,
         metadata={

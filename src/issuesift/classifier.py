@@ -53,14 +53,16 @@ DEFAULT_CATEGORIES = (
 class Taxonomy:
     """Ordered category names. Order matters: ties break low-index.
 
-    Each name is a non-empty str, unique regardless of case, else ValueError.
+    Takes a non-empty list or tuple and stores a tuple, so equal taxonomies hash
+    equal. Each name is a non-empty str, unique regardless of case, else ValueError.
     """
 
     categories: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.categories or isinstance(self.categories, str):
-            raise ValueError(f"taxonomy must be a non-empty sequence of names, got {self.categories!r}")
+        if not isinstance(self.categories, (list, tuple)) or not self.categories:
+            raise ValueError(f"taxonomy must be a non-empty list or tuple of names, got {self.categories!r}")
+        object.__setattr__(self, "categories", tuple(self.categories))
         seen = set()
         for name in self.categories:
             if not isinstance(name, str) or not name:
@@ -176,12 +178,22 @@ class Prediction(NamedTuple):
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Training examples: (tokens, category) pairs; tokens are a sequence of non-empty str."""
+    """Training examples: a list or tuple of (tokens, category) pairs, stored as a tuple.
+
+    Tokens are a sequence of non-empty str. Anything else raises a ValueError
+    that starts with ``examples``.
+    """
 
     examples: tuple[tuple[tuple[str, ...], str], ...]
 
     def __post_init__(self):
-        for tokens, category in self.examples:
+        if not isinstance(self.examples, (list, tuple)):
+            raise ValueError(f"examples: must be a list or tuple of pairs, got {self.examples!r}")
+        object.__setattr__(self, "examples", tuple(self.examples))
+        for example in self.examples:
+            if not isinstance(example, (list, tuple)) or len(example) != 2:
+                raise ValueError(f"examples: each example must be a (tokens, category) pair, got {example!r}")
+            tokens, category = example
             if not tokens or isinstance(tokens, str) or not all(isinstance(t, str) and t for t in tokens):
                 raise ValueError(f"examples: {category!r} example needs non-empty str tokens, got {tokens!r}")
 
@@ -202,7 +214,7 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
     if not isinstance(doc["taxonomy"], list):
         raise SchemaViolation("taxonomy", "must be a list of category names")
     try:
-        taxonomy = Taxonomy(tuple(doc["taxonomy"]))
+        taxonomy = Taxonomy(doc["taxonomy"])
     except ValueError as exc:
         raise SchemaViolation("taxonomy", str(exc)) from None
     return ModelFile(**{**doc, "taxonomy": taxonomy})

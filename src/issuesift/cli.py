@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple
 
 from . import pipeline, report
 from .classifier import Taxonomy, load_default_model, load_model
@@ -24,22 +23,20 @@ from .text_prep import PrepConfig
 DEFAULT_OUTPUT = "results.csv"
 DEFAULT_OMITTED = "omitted.csv"
 
-# QuerySpec field -> the flag that sets it, so a rejected spec names the flag.
-_FIELD_FLAGS = {
+# QuerySpec field -> the flag that sets it. The parser stores each flag under
+# its field's name, and a rejected spec names the flag.
+_SPEC_FLAGS = {
     "query": "--query",
     "limit": "--limit",
-    "min_comments": "--min-comments",
+    "sort": "--sort",
+    "order": "--order",
+    "strict_match": "--no-strict-match",
+    "strict_scope": "--strict-scope",
+    "omit_categories": "--omit-category",
     "require_categories": "--require-category",
     "forbid_categories": "--forbid-category",
+    "min_comments": "--min-comments",
 }
-
-
-class CliConfig(NamedTuple):
-    """Everything main() needs, resolved from argv plus the environment."""
-
-    spec: QuerySpec | None  # None in interactive mode, whose spec is built after the prompts
-    flags: argparse.Namespace
-    token: str | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="issuesift",
         description="Search GitHub issues for a keyword and classify every comment line.",
     )
-    parser.add_argument("--query", help="search string, punctuation preserved")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--query", help="search string, punctuation preserved")
+    mode.add_argument("--interactive", action="store_true",
+                      help="build the query through prompts instead of flags")
     parser.add_argument("--limit", type=int, default=QuerySpec.limit,
                         help=f"max issues to retrieve, 1-{SEARCH_LIMIT_CAP} (default {QuerySpec.limit})")
     parser.add_argument("--sort", default=QuerySpec.sort, choices=SORT_KEYS,
@@ -64,13 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"classified-results CSV path (default {DEFAULT_OUTPUT})")
     parser.add_argument("--omitted-output", default=DEFAULT_OMITTED,
                         help=f"omitted-issues CSV path (default {DEFAULT_OMITTED})")
-    parser.add_argument("--omit-category", action="append", default=[], metavar="NAME",
-                        help="drop result rows of this category (repeatable)")
-    parser.add_argument("--require-category", action="append", default=[], metavar="NAME",
+    parser.add_argument("--omit-category", dest="omit_categories", action="append", default=[],
+                        metavar="NAME", help="drop result rows of this category (repeatable)")
+    parser.add_argument("--require-category", dest="require_categories", action="append", default=[],
+                        metavar="NAME",
                         help="keep only issues with at least one line of this category (repeatable)")
-    parser.add_argument("--forbid-category", action="append", default=[], metavar="NAME",
-                        help="drop issues containing any line of this category (repeatable)")
-    parser.add_argument("--no-strict-match", action="store_true",
+    parser.add_argument("--forbid-category", dest="forbid_categories", action="append", default=[],
+                        metavar="NAME", help="drop issues containing any line of this category (repeatable)")
+    parser.add_argument("--no-strict-match", dest="strict_match", action="store_false",
                         help="skip the verbatim query-string refilter")
     parser.add_argument("--strict-scope", default=QuerySpec.strict_scope, choices=pipeline.STRICT_SCOPES,
                         help="apply the strict filter per issue or per comment "
@@ -81,20 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--token", help="GitHub token (default: env GITHUB_TOKEN)")
     parser.add_argument("--fixtures", metavar="DIR",
                         help="replay recorded responses from DIR instead of the live API")
-    parser.add_argument("--interactive", action="store_true",
-                        help="build the query through prompts instead of flags")
     parser.add_argument("--confidence", action="store_true",
                         help="add a confidence column to the results CSV")
     return parser
 
 
-def parse_args(argv: list[str], environment: dict) -> CliConfig:
-    """Translate (argv, environment) into a CliConfig; reads files only to resolve paths."""
+def parse_args(argv: list[str], environment: dict) -> argparse.Namespace:
+    """Translate (argv, environment) into the run's settings; reads files only to resolve paths.
+
+    The namespace holds the flags plus ``spec`` (None in interactive mode) and ``token``.
+    """
     args = build_parser().parse_args(argv)
-    if args.interactive and args.query is not None:
-        raise UsageError("--interactive and --query are mutually exclusive")
-    if not args.interactive and args.query is None:
-        raise UsageError("either --query or --interactive is required")
     # "" would quietly mean going live, the bundled model, or the working directory.
     for flag in ("--fixtures", "--model", "--output", "--omitted-output"):
         if vars(args)[flag[2:].replace("-", "_")] == "":
@@ -108,38 +106,25 @@ def parse_args(argv: list[str], environment: dict) -> CliConfig:
     if real["--output"] == real["--omitted-output"]:
         raise UsageError("--output and --omitted-output must differ")
     if args.interactive:
-        # The prompts answer the query, limit and categories; check the other flags
-        # now, before the first prompt.
+        # Check the flags that no prompt answers now, before the first prompt.
         _query_spec(args, query="?", limit=QuerySpec.limit, require_categories=frozenset())
-    return CliConfig(
-        spec=None if args.interactive else _query_spec(args),
-        flags=args,
-        token=args.token if args.token is not None else environment.get("GITHUB_TOKEN") or None,
-    )
+    args.spec = None if args.interactive else _query_spec(args)
+    args.token = args.token if args.token is not None else environment.get("GITHUB_TOKEN") or None
+    return args
 
 
-def _query_spec(flags: argparse.Namespace, **answers) -> QuerySpec:
+def _query_spec(args: argparse.Namespace, **answers) -> QuerySpec:
     """The QuerySpec of a run: the flags, with prompted answers in place of theirs.
 
     A rejected spec raises UsageError naming the flag.
     """
-    fields = {
-        "query": flags.query,
-        "limit": flags.limit,
-        "sort": flags.sort,
-        "order": flags.order,
-        "strict_match": not flags.no_strict_match,
-        "strict_scope": flags.strict_scope,
-        "omit_categories": frozenset(flags.omit_category),
-        "require_categories": frozenset(flags.require_category),
-        "forbid_categories": frozenset(flags.forbid_category),
-        "min_comments": flags.min_comments,
-    }
+    values = ((name, getattr(args, name)) for name in _SPEC_FLAGS)  # the category flags append to lists
+    fields = {name: frozenset(value) if isinstance(value, list) else value for name, value in values}
     try:
         return QuerySpec(**{**fields, **answers})
     except ValueError as exc:
         names, colon, detail = str(exc).partition(":")
-        names = " ".join(_FIELD_FLAGS.get(word, word) for word in names.split(" "))
+        names = " ".join(_SPEC_FLAGS.get(word, word) for word in names.split(" "))
         raise UsageError(names + colon + detail) from None
 
 
@@ -205,10 +190,10 @@ def _ask_categories(stdin, stdout, names, label: str, exclude=frozenset()) -> fr
     return _ask(stdin, stdout, "> ", parse)
 
 
-def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Namespace) -> QuerySpec:
+def interactive_session(stdin, stdout, taxonomy: Taxonomy, args: argparse.Namespace) -> QuerySpec:
     """Prompt loop building a QuerySpec; raises Aborted on cancel or end of input.
 
-    Fields without a prompt come from ``flags``.
+    Fields without a prompt come from ``args``.
     """
     def parse_query(answer):
         if not answer:
@@ -247,7 +232,7 @@ def interactive_session(stdin, stdout, taxonomy: Taxonomy, flags: argparse.Names
          f"omit {sorted(omit)}, require {sorted(require)}, forbid {sorted(forbid)}\n")
     if not _ask(stdin, stdout, "Run this query? [y/N]: ", lambda answer: answer.lower() in ("y", "yes")):
         raise Aborted("cancelled at confirmation")
-    return _query_spec(flags, query=query, limit=limit, sort=sort, order=order,
+    return _query_spec(args, query=query, limit=limit, sort=sort, order=order,
                        omit_categories=omit, require_categories=require, forbid_categories=forbid)
 
 
@@ -257,19 +242,18 @@ def main(argv: list[str], environment: dict | None = None, *, stdin=None, stdout
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        config = parse_args(argv, environment)
-        flags = config.flags
-        model = load_model(flags.model) if flags.model else load_default_model()
-        spec = config.spec or interactive_session(stdin, stdout, model.taxonomy, flags)
-        if flags.fixtures:
-            session = open_session(config.token, mode="replay", fixture_dir=flags.fixtures)
+        args = parse_args(argv, environment)
+        model = load_model(args.model) if args.model else load_default_model()
+        spec = args.spec or interactive_session(stdin, stdout, model.taxonomy, args)
+        if args.fixtures:
+            session = open_session(args.token, mode="replay", fixture_dir=args.fixtures)
         else:
-            session = open_session(config.token, mode="live")
+            session = open_session(args.token, mode="live")
         _say(stdout, f"searching for {spec.query!r} (limit {spec.limit})...\n")
         records, omitted, summary = pipeline.run(spec, session, model, PrepConfig.default())
-        rows, _ = report.write_report(records, omitted, flags.output, flags.omitted_output, flags.confidence)
-        _say(stdout, f"wrote {rows} rows to {flags.output}, "
-                     f"{len(omitted)} omissions to {flags.omitted_output}\n\n"
+        rows, _ = report.write_report(records, omitted, args.output, args.omitted_output, args.confidence)
+        _say(stdout, f"wrote {rows} rows to {args.output}, "
+                     f"{len(omitted)} omissions to {args.omitted_output}\n\n"
                      f"{report.render_summary(summary)}\n")
         return 0
     except KeyboardInterrupt:  # Ctrl-C at a prompt or during the run

@@ -142,6 +142,21 @@ class TestTrainBaseline:
         with pytest.raises(ValueError):
             LabeledCorpus((((), "A"),))
 
+    @pytest.mark.parametrize(
+        "examples",
+        [5, None, "ab", {(("x",), "A"): 1}, {(("x",), "A")},
+         ((("a",),),), ((("a",), "A", "B"),), ("ab",), (None,)],
+        ids=["int", "none", "bare-string", "dict", "set",
+             "one-item-example", "three-item-example", "bare-string-example", "none-example"])
+    def test_examples_must_be_a_list_or_tuple_of_pairs(self, examples):
+        with pytest.raises(ValueError, match="^examples: "):
+            LabeledCorpus(examples)
+
+    def test_list_of_examples_stored_as_tuple(self):
+        corpus = LabeledCorpus([(("x",), "A"), (("y",), "B")])
+        assert corpus.examples == ((("x",), "A"), (("y",), "B"))
+        assert corpus == LabeledCorpus(((("x",), "A"), (("y",), "B")))
+
     @pytest.mark.parametrize("tokens", ["thanks", ("x", 1), ("x", "")],
                              ids=["bare-string", "int-token", "empty-token"])
     def test_example_tokens_must_be_non_empty_strings(self, tokens):
@@ -572,6 +587,17 @@ class TestTaxonomy:
     def test_names_must_be_strings(self, categories):
         with pytest.raises(ValueError):
             Taxonomy(categories)
+
+    @pytest.mark.parametrize("categories", [5, None, "AB", {"A": 1}, {"A", "B"}],
+                             ids=["int", "none", "bare-string", "dict", "set"])
+    def test_categories_must_be_list_or_tuple(self, categories):
+        with pytest.raises(ValueError, match="^taxonomy "):
+            Taxonomy(categories)
+
+    def test_list_and_tuple_taxonomies_equal_and_hash_equal(self):
+        assert Taxonomy(["A"]).categories == ("A",)
+        assert Taxonomy(["A"]) == Taxonomy(("A",))
+        assert hash(Taxonomy(["A"])) == hash(Taxonomy(("A",)))
 
 
 def ref_predict_line(model, tokens):

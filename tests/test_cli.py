@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -43,11 +44,11 @@ class TestParseArgs:
         assert config.spec.order == "desc"
         assert config.spec.strict_match is True
         assert config.spec.min_comments == 1
-        assert config.flags.output == "results.csv"
-        assert config.flags.omitted_output == "omitted.csv"
+        assert config.output == "results.csv"
+        assert config.omitted_output == "omitted.csv"
         assert config.token is None
-        assert config.flags.interactive is False
-        assert config.flags.confidence is False
+        assert config.interactive is False
+        assert config.confidence is False
 
     def test_limit_cap_accepted(self):
         config = parse_args(["--query", "tf.function", "--limit", "1000"], {})
@@ -59,12 +60,19 @@ class TestParseArgs:
         assert "--limit" in str(excinfo.value)
 
     def test_query_or_interactive_required(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^one of the arguments --query --interactive is required$"):
             parse_args([], {})
 
     def test_query_and_interactive_conflict(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^argument --interactive: not allowed with argument --query$"):
             parse_args(["--query", "x", "--interactive"], {})
+
+    def test_usage_shows_query_or_interactive(self):
+        assert "(--query QUERY | --interactive)" in cli.build_parser().format_usage()
+
+    def test_every_spec_field_has_a_flag(self):
+        assert {f.name for f in dataclasses.fields(QuerySpec)} == set(cli._SPEC_FLAGS)
+        assert set(cli._SPEC_FLAGS) <= vars(parse_args(["--query", "x"], {})).keys()
 
     def test_same_output_paths_rejected(self):
         with pytest.raises(UsageError):
@@ -138,7 +146,7 @@ class TestParseArgs:
         assert argv == ["--query", "x", "--limit", "5"]
 
 
-NO_FLAGS = parse_args(["--interactive"], {}).flags
+NO_FLAGS = parse_args(["--interactive"], {})
 
 
 CATEGORY_LINES = (
