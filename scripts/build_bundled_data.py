@@ -98,10 +98,10 @@ def check_pools() -> None:
 def build_sentences() -> list[tuple[str, str]]:
     rng = random.Random(SEED)
     taxonomy = default_taxonomy()
-    assert set(CATEGORY_WORDS) == set(taxonomy.categories)
+    assert set(CATEGORY_WORDS) == set(taxonomy)
     rows = []
     for i in range(SENTENCES):
-        category = taxonomy.categories[i % len(taxonomy)]
+        category = taxonomy[i % len(taxonomy)]
         pool = CATEGORY_WORDS[category]
         length = rng.randint(4, 8)
         rows.append((category, " ".join(rng.choice(pool) for _ in range(length))))

@@ -49,37 +49,25 @@ DEFAULT_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class Taxonomy:
-    """Ordered category names. Order matters: ties break low-index.
+class Taxonomy(tuple):
+    """Ordered category names, as a tuple. Order matters: ties break low-index.
 
-    Takes a non-empty list or tuple and stores a tuple, so equal taxonomies hash
-    equal. Each name is a non-empty str, unique regardless of case, else ValueError.
+    Takes a non-empty list or tuple, and equals and hashes as the plain tuple of
+    its names. Each name is a non-empty str, unique regardless of case, else ValueError.
     """
 
-    categories: tuple[str, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.categories, (list, tuple)) or not self.categories:
-            raise ValueError(f"taxonomy must be a non-empty list or tuple of names, got {self.categories!r}")
-        object.__setattr__(self, "categories", tuple(self.categories))
+    def __new__(cls, names):
+        if not isinstance(names, (list, tuple)) or not names:
+            raise ValueError(f"taxonomy must be a non-empty list or tuple of names, got {names!r}")
         seen = set()
-        for name in self.categories:
+        for name in names:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"category names must be non-empty strings, got {name!r}")
             key = name.lower()
             if key in seen:
                 raise ValueError(f"duplicate category name (case-insensitive): {name!r}")
             seen.add(key)
-
-    def __len__(self) -> int:
-        return len(self.categories)
-
-    def __iter__(self):
-        return iter(self.categories)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.categories
+        return super().__new__(cls, names)
 
 
 def default_taxonomy() -> Taxonomy:
@@ -109,7 +97,8 @@ class ModelFile:
 
     Every rule on a model is checked here, when it is built: loaded, trained,
     constructed in code or rebuilt by save_model. A bad field raises
-    SchemaViolation naming it; numbers are checked as given, then stored as
+    SchemaViolation naming it. The taxonomy may be a Taxonomy, list or tuple,
+    and is stored as a Taxonomy; numbers are checked as given, then stored as
     float copies. Scoring reads a column-major copy of the weights built on
     the first prediction, so a model must not be mutated once it has scored.
     """
@@ -123,8 +112,10 @@ class ModelFile:
 
     def __post_init__(self):
         _check_version(self.format_version)
-        if not isinstance(self.taxonomy, Taxonomy):
-            raise SchemaViolation("taxonomy", "must be a Taxonomy")
+        try:
+            self.taxonomy = Taxonomy(self.taxonomy)
+        except ValueError as exc:
+            raise SchemaViolation("taxonomy", str(exc).removeprefix("taxonomy ")) from None
         if not isinstance(self.vocabulary, dict):
             raise SchemaViolation("vocabulary", "must map tokens to integer indexes")
         if not isinstance(self.weights, list) or not all(isinstance(r, list) for r in self.weights):
@@ -176,29 +167,26 @@ class Prediction(NamedTuple):
     confidence: float
 
 
-@dataclass(frozen=True)
-class LabeledCorpus:
-    """Training examples: a list or tuple of (tokens, category) pairs, stored as a tuple.
+class LabeledCorpus(tuple):
+    """Training examples: a tuple of (tokens, category) pairs, tokens a tuple of str.
 
-    Tokens are a sequence of non-empty str. Anything else raises a ValueError
-    that starts with ``examples``.
+    Takes a list or tuple of pairs, each with a non-empty list or tuple of
+    non-empty str tokens, else raises a ValueError that starts with ``examples``.
     """
 
-    examples: tuple[tuple[tuple[str, ...], str], ...]
-
-    def __post_init__(self):
-        if not isinstance(self.examples, (list, tuple)):
-            raise ValueError(f"examples: must be a list or tuple of pairs, got {self.examples!r}")
-        object.__setattr__(self, "examples", tuple(self.examples))
-        for example in self.examples:
+    def __new__(cls, examples):
+        if not isinstance(examples, (list, tuple)):
+            raise ValueError(f"examples: must be a list or tuple of pairs, got {examples!r}")
+        pairs = []
+        for example in examples:
             if not isinstance(example, (list, tuple)) or len(example) != 2:
                 raise ValueError(f"examples: each example must be a (tokens, category) pair, got {example!r}")
             tokens, category = example
-            if not tokens or isinstance(tokens, str) or not all(isinstance(t, str) and t for t in tokens):
+            if (not isinstance(tokens, (list, tuple)) or not tokens
+                    or not all(isinstance(t, str) and t for t in tokens)):
                 raise ValueError(f"examples: {category!r} example needs non-empty str tokens, got {tokens!r}")
-
-    def __len__(self) -> int:
-        return len(self.examples)
+            pairs.append((tuple(tokens), category))
+        return super().__new__(cls, pairs)
 
 
 def _model_from_document(doc: object, source: str) -> ModelFile:
@@ -211,13 +199,7 @@ def _model_from_document(doc: object, source: str) -> ModelFile:
         raise SchemaViolation(sorted(missing)[0], "required field missing")
     if extra := doc.keys() - top_level_fields:
         raise SchemaViolation(sorted(extra)[0], "unexpected top-level field")
-    if not isinstance(doc["taxonomy"], list):
-        raise SchemaViolation("taxonomy", "must be a list of category names")
-    try:
-        taxonomy = Taxonomy(doc["taxonomy"])
-    except ValueError as exc:
-        raise SchemaViolation("taxonomy", str(exc)) from None
-    return ModelFile(**{**doc, "taxonomy": taxonomy})
+    return ModelFile(**doc)
 
 
 def load_model(path: str | Path) -> ModelFile:
@@ -252,7 +234,7 @@ def save_model(model: ModelFile, path: str | Path) -> None:
     produce byte-identical files.
     """
     model = replace(model)
-    doc = {f.name: getattr(model, f.name) for f in fields(model)} | {"taxonomy": list(model.taxonomy)}
+    doc = {f.name: getattr(model, f.name) for f in fields(model)}
     text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")
@@ -271,15 +253,19 @@ def train_baseline(
     vocabulary: every distinct corpus token, sorted lexicographically.
     bias[c]    = ln(examples in class c / total examples)
     weights[c][t] = ln((count of t in c + alpha) / (tokens in c + alpha * V))
+
+    The corpus may be a LabeledCorpus or a plain list or tuple of
+    (tokens, category) pairs; either is checked by LabeledCorpus first.
     """
+    corpus = LabeledCorpus(corpus)
     if not 0 < alpha < math.inf:  # also false for nan
         raise ValueError(f"alpha must be a positive finite number, got {alpha}")
-    if len(corpus) == 0:
+    if not corpus:
         raise EmptyCorpus("cannot train on an empty corpus")
     class_examples: Counter[str] = Counter()
     token_counts: dict[str, Counter[str]] = {name: Counter() for name in taxonomy}
     vocabulary_set: set[str] = set()
-    for tokens, category in corpus.examples:
+    for tokens, category in corpus:
         if category not in taxonomy:
             raise UnknownCategory(f"example labeled {category!r}, not in the taxonomy")
         class_examples[category] += 1
@@ -345,7 +331,7 @@ def _choose(model: ModelFile, scores: list[float]) -> tuple[str, float]:
     """
     best = scores.index(max(scores))
     peak = scores[best]
-    return model.taxonomy.categories[best], 1.0 / sum([math.exp(s - peak) for s in scores])
+    return model.taxonomy[best], 1.0 / sum([math.exp(s - peak) for s in scores])
 
 
 def predict_line(model: ModelFile, tokens) -> Prediction:
@@ -372,17 +358,18 @@ def load_corpus(path: str | Path) -> LabeledCorpus:
     """Read a training corpus CSV with columns `category` and `text`.
 
     Text is whitespace-split into tokens verbatim: the model contract says
-    all preprocessing happens upstream, never here.
+    all preprocessing happens upstream, never here. A leading UTF-8 byte
+    order mark, as spreadsheet "CSV UTF-8" exports write, is skipped.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or not {"category", "text"} <= set(reader.fieldnames):
                 raise SchemaViolation("corpus", f"{path} must have 'category' and 'text' columns")
             examples = []
             for row in reader:
-                tokens = tuple((row["text"] or "").split())
+                tokens = (row["text"] or "").split()
                 if not tokens:
                     continue
                 examples.append((tokens, row["category"]))
@@ -390,4 +377,4 @@ def load_corpus(path: str | Path) -> LabeledCorpus:
         raise IoFailure(f"cannot read corpus {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over csv.field_size_limit()
         raise SchemaViolation("corpus", f"{path} is not a readable CSV: {exc}") from None
-    return LabeledCorpus(tuple(examples))
+    return LabeledCorpus(examples)

@@ -85,7 +85,7 @@ def test_c2_naive_bayes_oracle():
         examples = tuple(
             (
                 tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))),
-                taxonomy.categories[i % class_count],
+                taxonomy[i % class_count],
             )
             for i in range(doc_count)
         )
@@ -93,7 +93,7 @@ def test_c2_naive_bayes_oracle():
         model = train_baseline(LabeledCorpus(examples), taxonomy, alpha=1.0)
         prediction = predict_line(model, query)
         expected = oracle_log_posteriors(examples, taxonomy, query, alpha=1.0)
-        assert prediction.category == taxonomy.categories[oracle_argmax(expected)]
+        assert prediction.category == taxonomy[oracle_argmax(expected)]
         for got, want in zip(prediction.scores, expected):
             assert abs(got - want) <= 1e-9
 
@@ -307,7 +307,7 @@ def test_c8_separable_corpus_quality():
     ) as path:
         corpus = load_corpus(path)
     assert len(corpus) == 200
-    examples = list(corpus.examples)
+    examples = list(corpus)
     rng = random.Random(13)
     rng.shuffle(examples)
     cut = int(len(examples) * 0.8)
@@ -316,7 +316,7 @@ def test_c8_separable_corpus_quality():
     model = train_baseline(LabeledCorpus(tuple(train)), taxonomy, alpha=1.0)
     expected = [category for _, category in held_out]
     predicted = [predict_line(model, list(tokens)).category for tokens, _ in held_out]
-    score = macro_f1(expected, predicted, taxonomy.categories)
+    score = macro_f1(expected, predicted, taxonomy)
     assert score >= 0.95, f"macro-F1 {score:.3f}"
 
 
@@ -326,7 +326,7 @@ def test_c8_separable_corpus_quality():
 def test_c9_category_filters(tmp_path):
     rng = random.Random(7009)
     model = load_default_model()
-    categories = list(model.taxonomy.categories)
+    categories = list(model.taxonomy)
     saw_omitted_row, saw_forbidden_issue = False, False
     for index in range(20):
         query, limit, issues, _, fixture = build_scenario(rng, tmp_path / f"s{index}", index)

@@ -154,11 +154,24 @@ class TestTrainBaseline:
 
     def test_list_of_examples_stored_as_tuple(self):
         corpus = LabeledCorpus([(("x",), "A"), (("y",), "B")])
-        assert corpus.examples == ((("x",), "A"), (("y",), "B"))
+        assert corpus == ((("x",), "A"), (("y",), "B"))
         assert corpus == LabeledCorpus(((("x",), "A"), (("y",), "B")))
 
-    @pytest.mark.parametrize("tokens", ["thanks", ("x", 1), ("x", "")],
-                             ids=["bare-string", "int-token", "empty-token"])
+    def test_list_tokens_stored_as_tuples_so_a_corpus_hashes(self):
+        corpus = LabeledCorpus([(["a"], "A")])
+        assert corpus == LabeledCorpus(((("a",), "A"),))
+        assert hash(corpus) == hash(LabeledCorpus(((("a",), "A"),)))
+
+    def test_plain_list_of_pairs_trains(self):
+        model = train_baseline([(("a",), "A"), (("b",), "B")], Taxonomy(["A", "B"]))
+        assert model.vocabulary == {"a": 0, "b": 1}
+
+    def test_plain_list_is_checked_before_training(self):
+        with pytest.raises(ValueError, match="^examples"):
+            train_baseline([("ab", "A")], Taxonomy(["A"]))
+
+    @pytest.mark.parametrize("tokens", ["thanks", ("x", 1), ("x", ""), 5, iter(["x"]), {"x"}],
+                             ids=["bare-string", "int-token", "empty-token", "int", "iterator", "set"])
     def test_example_tokens_must_be_non_empty_strings(self, tokens):
         with pytest.raises(ValueError, match="^examples: "):
             LabeledCorpus(((tokens, "A"), (("y",), "B")))
@@ -274,7 +287,7 @@ class TestSerialization:
         model = two_class_model()
         return {
             "format_version": 1,
-            "taxonomy": list(model.taxonomy.categories),
+            "taxonomy": list(model.taxonomy),
             "vocabulary": model.vocabulary,
             "weights": model.weights,
             "bias": model.bias,
@@ -344,6 +357,14 @@ class TestSerialization:
         with pytest.raises(SchemaViolation) as excinfo:
             load_model(self._write(tmp_path, {**self._doc(), field: value}))
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("taxonomy", [[], "AB", ["A", "a"], ["A", 1]],
+                             ids=["empty", "bare-string", "case-duplicate", "int-name"])
+    def test_bad_taxonomy_names_the_field_once(self, tmp_path, taxonomy):
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_model(self._write(tmp_path, {**self._doc(), "taxonomy": taxonomy}))
+        assert str(excinfo.value).startswith("taxonomy: ")
+        assert str(excinfo.value).count("taxonomy") == 1
 
     def test_top_level_array_names_document(self, tmp_path):
         with pytest.raises(SchemaViolation) as excinfo:
@@ -415,15 +436,21 @@ class TestModelFileChecks:
         ("weights", None),
         ("vocabulary", ["bug", "fix", "thanks"]),
         ("metadata", []),
-        ("taxonomy", ("A", "B")),
+        ("taxonomy", "AB"),
         ("weights", [[0.0, 0.0, 0.0], [0.0, 0.0]]),
         ("weights", [[True, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-    ], ids=["none-bias", "none-weights", "list-vocabulary", "list-metadata", "tuple-taxonomy",
+    ], ids=["none-bias", "none-weights", "list-vocabulary", "list-metadata", "string-taxonomy",
             "ragged-weight-row", "bool-weight"])
     def test_bad_field_rejected_when_built(self, field, value):
         with pytest.raises(SchemaViolation) as excinfo:
             ModelFile(**{**self.good_fields(), field: value})
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("taxonomy", [["A", "B"], ("A", "B")], ids=["list", "tuple"])
+    def test_list_or_tuple_taxonomy_stored_as_taxonomy(self, taxonomy):
+        model = ModelFile(**{**self.good_fields(), "taxonomy": taxonomy})
+        assert type(model.taxonomy) is Taxonomy
+        assert model.taxonomy == TWO_CLASS
 
     def test_built_model_stores_floats(self):
         model = ModelFile(**{**self.good_fields(), "weights": [[1, 2, 3], [4, 5, 6]], "bias": [0, -1]})
@@ -451,19 +478,19 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.csv"
         path.write_text('category,text\nA,fix bug\nB,thanks\n', encoding="utf-8")
         corpus = load_corpus(path)
-        assert corpus.examples == ((("fix", "bug"), "A"), (("thanks",), "B"))
+        assert corpus == ((("fix", "bug"), "A"), (("thanks",), "B"))
 
     def test_row_without_tokens_skipped(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("category,text\nA,fix bug\nB,   \nB\nB,thanks\n", encoding="utf-8")
         corpus = load_corpus(path)
-        assert corpus.examples == ((("fix", "bug"), "A"), (("thanks",), "B"))
+        assert corpus == ((("fix", "bug"), "A"), (("thanks",), "B"))
 
     def test_text_split_verbatim_no_preprocessing(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text('category,text\nA,"Fix THE bug!"\n', encoding="utf-8")
         corpus = load_corpus(path)
-        assert corpus.examples[0][0] == ("Fix", "THE", "bug!")
+        assert corpus[0][0] == ("Fix", "THE", "bug!")
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "corpus.csv"
@@ -474,6 +501,13 @@ class TestLoadCorpus:
     def test_directory_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             load_corpus(tmp_path)
+
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("category,text\nUsage,install docker\n", encoding="utf-8")
+        marked.write_text("category,text\nUsage,install docker\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_corpus(marked) == load_corpus(plain) == ((("install", "docker"), "Usage"),)
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "corpus.csv"
@@ -508,7 +542,7 @@ def small_corpora(draw):
     examples = []
     for i in range(doc_count):
         # guarantee every class at least one example
-        category = taxonomy.categories[i % class_count]
+        category = taxonomy[i % class_count]
         tokens = draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=4))
         examples.append((tuple(tokens), category))
     query = draw(st.lists(st.sampled_from(TOKEN_POOL + ("oov",)), max_size=5))
@@ -595,9 +629,11 @@ class TestTaxonomy:
             Taxonomy(categories)
 
     def test_list_and_tuple_taxonomies_equal_and_hash_equal(self):
-        assert Taxonomy(["A"]).categories == ("A",)
+        assert Taxonomy(["A"]) == ("A",)
         assert Taxonomy(["A"]) == Taxonomy(("A",))
         assert hash(Taxonomy(["A"])) == hash(Taxonomy(("A",)))
+        assert isinstance(Taxonomy(["A", "B"]), tuple)
+        assert Taxonomy(["A", "B"])[1] == "B"
 
 
 def ref_predict_line(model, tokens):
@@ -615,7 +651,7 @@ def ref_predict_line(model, tokens):
             best = c
     peak = scores[best]
     exps = [math.exp(s - peak) for s in scores]
-    return model.taxonomy.categories[best], tuple(scores), exps[best] / sum(exps)
+    return model.taxonomy[best], tuple(scores), exps[best] / sum(exps)
 
 
 BUNDLED = load_default_model()

@@ -198,7 +198,7 @@ class TestInteractiveSession:
         taxonomy = default_taxonomy()
         stdin = scripted(["q", "", "", "", "8", "", "", "y"])
         spec = interactive_session(stdin, io.StringIO(), taxonomy, NO_FLAGS)
-        assert spec.omit_categories == {taxonomy.categories[7]}
+        assert spec.omit_categories == {taxonomy[7]}
 
     def test_sort_menu_by_number(self):
         stdin = scripted(["q", "", "2", "asc", "", "", "", "y"])

@@ -1,6 +1,7 @@
 import builtins
 import inspect
 import re
+from importlib import resources
 from pathlib import Path
 
 import issuesift
@@ -8,9 +9,13 @@ import issuesift
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_use_section():
+def section(title):
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_use_section():
+    return section("Library use")
 
 
 def library_use_calls():
@@ -41,3 +46,17 @@ def test_library_use_open_session_signature_matches_the_code():
             expected.append("*")
         expected.append(parameter.name)
     assert [name.strip() for name in written.split(",")] == expected
+
+
+def test_bring_your_own_model_code_runs(tmp_path):
+    """The training block in "Bring your own model" runs on the bundled corpus."""
+    (code,) = re.findall(r"```python\n(.*?)```", section("Bring your own model"), re.S)
+    output = tmp_path / "my_model.json"
+    with resources.as_file(resources.files("issuesift").joinpath("data/training_corpus.csv")) as corpus:
+        code = code.replace('"my_corpus.csv"', repr(str(corpus))).replace('"my_model.json"', repr(str(output)))
+        exec(code, {})
+    model = issuesift.load_model(output)
+    assert model.taxonomy == issuesift.default_taxonomy()
+    line = issuesift.ProcessedLine(1, 2, 0, ("thanks",))
+    [(_, (category, confidence))] = issuesift.classify_lines(model, [line])
+    assert category in model.taxonomy and 0 < confidence <= 1
