@@ -254,9 +254,11 @@ def train_baseline(
     bias[c]    = ln(examples in class c / total examples)
     weights[c][t] = ln((count of t in c + alpha) / (tokens in c + alpha * V))
 
-    The corpus may be a LabeledCorpus or a plain list or tuple of
-    (tokens, category) pairs; either is checked by LabeledCorpus first.
+    The taxonomy is checked by Taxonomy first. The corpus may be a LabeledCorpus
+    or a plain list or tuple of (tokens, category) pairs; either is checked by
+    LabeledCorpus next.
     """
+    taxonomy = Taxonomy(taxonomy)
     corpus = LabeledCorpus(corpus)
     if not 0 < alpha < math.inf:  # also false for nan
         raise ValueError(f"alpha must be a positive finite number, got {alpha}")

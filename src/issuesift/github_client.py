@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import itertools
 import math
-import random
 import re
 import threading
 import time
@@ -50,7 +49,6 @@ ANON_CORE_PER_HOUR = 60
 MAX_RETRIES = 4
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
-BACKOFF_JITTER = 0.2
 MAX_HEADER_WAIT = 3600.0  # GitHub's longest rate window
 # A rate-limit reply with neither a usable retry-after nor a reset time waits at
 # least a minute before the retry, and the wait doubles on each repeat (up to
@@ -230,26 +228,21 @@ class RateGate:
     def acquire(self, kind: str) -> None:
         if kind not in self._budgets:
             return
+        (count, window), times = self._budgets[kind], self._times[kind]
         while True:
             with self._lock:
                 now = self.clock()
-                ready = self._next_free(kind, now)
+                while times and times[0] <= now - window:
+                    times.popleft()
+                ready = self._blocked_until[kind]
+                if len(times) >= count:
+                    ready = max(ready, times[0] + window)
                 if ready <= now:
-                    self._times[kind].append(now)
+                    times.append(now)
                     return
             if not self.wait:
                 raise RateLimited(f"{kind} budget exhausted and waiting is disabled")
-            self.sleep(max(0.0, ready - now))
-
-    def _next_free(self, kind: str, now: float) -> float:
-        count, window = self._budgets[kind]
-        times = self._times[kind]
-        while times and times[0] <= now - window:
-            times.popleft()
-        ready = self._blocked_until[kind]
-        if len(times) >= count:
-            ready = max(ready, times[0] + window)
-        return ready
+            self.sleep(ready - now)
 
     def block_until(self, kind: str, when: float) -> None:
         with self._lock:
@@ -334,14 +327,14 @@ class Session:
 
     Thread-safe: all rate accounting funnels through one gate, so ``fetch_threads``
     may run ``parallelism`` comment fetches at once. The gate also owns the clock,
-    the sleep and whether to wait out a rate limit.
+    the sleep and whether to wait out a rate limit. Every retry wait is
+    deterministic: the same replies on the same clock give the same sleeps.
     """
 
     def __init__(self, *, transport, gate: RateGate, parallelism: int):
         self.parallelism = max(1, parallelism)
         self._transport = transport
         self._gate = gate
-        self._rng = random.Random()
 
     # -- public operations -------------------------------------------------
 
@@ -424,19 +417,24 @@ class Session:
     # -- request machinery --------------------------------------------------
 
     def _request(self, kind: str, url: str, params: dict | None = None):
-        """GET with retries, returning the decoded JSON and the reply's headers: each attempt
-        returns, raises at once, or names the error to raise once retries run out and the
-        wait before the next try."""
+        """GET with up to MAX_RETRIES retries, returning the decoded JSON and the reply's headers.
+
+        Each attempt returns, raises at once, or names the error to raise once retries
+        run out. Before retry ``r`` (0-based) it sleeps the rate-limit reply's own
+        ``retry-after`` or ``x-ratelimit-reset`` wait if usable, else
+        ``min(base * BACKOFF_FACTOR ** r, MAX_HEADER_WAIT)``: ``base`` is BACKOFF_BASE
+        after a network failure or a 5xx and SECONDARY_LIMIT_WAIT after a rate limit.
+        """
         for retries in range(MAX_RETRIES + 1):
             self._gate.acquire(kind)
+            cause = wait = reset = None
+            base = BACKOFF_BASE  # after a network failure or a 5xx
             try:
                 reply = self._transport.request("GET", url, params)
             except NetworkFailure as exc:
-                failure = NetworkFailure(f"{url}: {exc} (after {retries} retries)")
-                cause, wait = exc, None
+                failure, cause = NetworkFailure(f"{url}: {exc} (after {retries} retries)"), exc
             else:
                 status, headers = reply.status, reply.headers
-                cause = wait = reset = None
                 exhausted = headers.get("x-ratelimit-remaining") == "0"
                 if exhausted:
                     # Live response headers are authoritative over the static budgets.
@@ -463,18 +461,14 @@ class Session:
                     if not self._gate.wait:
                         raise RateLimited(f"{url} answered {status} and waiting is disabled")
                     failure = RateLimited(f"{url} kept answering {status} after {retries} retries")
-                    wait = _header_wait(headers.get("retry-after")) or reset or min(
-                        SECONDARY_LIMIT_WAIT * BACKOFF_FACTOR ** retries, MAX_HEADER_WAIT)
+                    base, wait = SECONDARY_LIMIT_WAIT, _header_wait(headers.get("retry-after")) or reset
                 elif 500 <= status < 600:
                     failure = NetworkFailure(f"{url} answered {status} after {retries} retries")
                 else:
                     raise NetworkFailure(f"unexpected status {status} from {url}")
             if retries == MAX_RETRIES:
                 raise failure from cause
-            if wait is None:
-                wait = BACKOFF_BASE * BACKOFF_FACTOR ** retries * (
-                    1.0 + self._rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER))
-            self._gate.sleep(wait)
+            self._gate.sleep(wait or min(base * BACKOFF_FACTOR ** retries, MAX_HEADER_WAIT))
 
 
 def open_session(
@@ -495,9 +489,12 @@ def open_session(
     LIVE_PARALLELISM threads at once. A replay session is unthrottled, and
     ``fetch_threads`` fetches its threads one by one on the calling thread. Given
     no ``sleep``, a replay does not sleep: a retry would get the same reply.
+    A ``fixture_dir`` outside replay mode raises ValueError.
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
+    if fixture_dir is not None and mode != "replay":
+        raise ValueError(f"fixture_dir must be None unless mode is 'replay', got {fixture_dir!r}")
     budgets, parallelism = {}, 1  # a replay has no network wait for threads to overlap
     if mode == "live":
         parallelism = LIVE_PARALLELISM

@@ -170,6 +170,16 @@ class TestTrainBaseline:
         with pytest.raises(ValueError, match="^examples"):
             train_baseline([("ab", "A")], Taxonomy(["A"]))
 
+    @pytest.mark.parametrize("taxonomy, message", [
+        ("AB", "^taxonomy must be a non-empty list or tuple"),
+        (["A", "a"], "^duplicate category name"),
+        (5, "^taxonomy must be a non-empty list or tuple"),
+    ], ids=["bare-string", "case-duplicate", "int"])
+    def test_taxonomy_is_checked_before_training(self, taxonomy, message):
+        """A bare string is not read as one-letter names, nor a duplicate as an empty category."""
+        with pytest.raises(ValueError, match=message):
+            train_baseline([(("a",), "A"), (("b",), "AB")], taxonomy)
+
     @pytest.mark.parametrize("tokens", ["thanks", ("x", 1), ("x", ""), 5, iter(["x"]), {"x"}],
                              ids=["bare-string", "int-token", "empty-token", "int", "iterator", "set"])
     def test_example_tokens_must_be_non_empty_strings(self, tokens):

@@ -109,6 +109,13 @@ class TestOpenSession:
         with pytest.raises(FixtureNotFound):
             open_session(None, mode="replay")
 
+    @pytest.mark.parametrize("mode", [{}, {"mode": "live"}], ids=["default-mode", "live"])
+    def test_fixture_dir_outside_replay_rejected(self, monkeypatch, small_fixture_dir, mode):
+        """A fixture directory never opens a live session, which would send requests."""
+        monkeypatch.setattr(requests.Session, "request", lambda *args, **kwargs: pytest.fail("sent a request"))
+        with pytest.raises(ValueError, match="^fixture_dir must be None unless mode is 'replay', got "):
+            open_session(None, fixture_dir=small_fixture_dir, **mode)
+
     @pytest.mark.parametrize("mode, slept", [("live", 1), ("replay", 0)])
     def test_default_sleep_follows_mode(self, monkeypatch, mode, slept):
         """Given no ``sleep``, a live session backs off on time.sleep; a replay does not sleep."""
@@ -545,23 +552,20 @@ class TestRetryPolicy:
         session, transport = self._session(replies, fake_clock)
         assert session.search_issues("q", limit=5) == []
         assert len(transport.requests) == 3  # 3 tries
-        backoffs = fake_clock.sleeps
-        assert len(backoffs) == 2
-        assert 0.8 <= backoffs[0] <= 1.2      # 1s +/- 20% jitter
-        assert 1.6 <= backoffs[1] <= 2.4      # 2s +/- 20% jitter
+        assert fake_clock.sleeps == [1.0, 2.0]  # BACKOFF_BASE, doubling; no jitter
 
-    @pytest.mark.parametrize("failure, raised", [
-        (NetworkFailure("timed out"), NetworkFailure),
-        (reply(403, {"message": "API rate limit exceeded"}), RateLimited),
-        (reply(429), RateLimited),
-        (reply(500), NetworkFailure),
+    @pytest.mark.parametrize("failure, raised, sleeps", [
+        (NetworkFailure("timed out"), NetworkFailure, [1.0, 2.0, 4.0, 8.0]),
+        (reply(403, {"message": "API rate limit exceeded"}), RateLimited, [60.0, 120.0, 240.0, 480.0]),
+        (reply(429), RateLimited, [60.0, 120.0, 240.0, 480.0]),
+        (reply(500), NetworkFailure, [1.0, 2.0, 4.0, 8.0]),
     ], ids=["transport", "403", "429", "500"])
-    def test_gives_up_after_four_retries(self, fake_clock, failure, raised):
+    def test_gives_up_after_four_retries(self, fake_clock, failure, raised, sleeps):
         session, transport = self._session([failure] * 5, fake_clock)
         with pytest.raises(raised, match="after 4 retries"):
             session.search_issues("q", limit=5)
         assert len(transport.requests) == 5  # 1 initial + 4 retries
-        assert len(fake_clock.sleeps) == 4
+        assert fake_clock.sleeps == sleeps
 
     def test_bare_403_not_retried(self, fake_clock):
         replies = [reply(403, {"message": "Resource not accessible by integration"})]

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import issuesift
+from issuesift import github_client
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,6 +47,19 @@ def test_library_use_open_session_signature_matches_the_code():
             expected.append("*")
         expected.append(parameter.name)
     assert [name.strip() for name in written.split(",")] == expected
+
+
+def test_library_use_retry_rule_matches_the_code():
+    """The retry sentence names MAX_RETRIES and each backoff ``base * BACKOFF_FACTOR ** r``."""
+    text = " ".join(library_use_section().split())
+    (retries,) = re.findall(r"`MAX_RETRIES` = (\d+) times", text)
+    assert int(retries) == github_client.MAX_RETRIES
+    written = [[float(n) for n in re.findall(r"\d+", waits)]
+               for waits in re.findall(r"(\d+(?:, \d+)* and \d+) s\b", text)]
+    expected = [[base * github_client.BACKOFF_FACTOR ** r for r in range(github_client.MAX_RETRIES)]
+                for base in (github_client.BACKOFF_BASE, github_client.SECONDARY_LIMIT_WAIT)]
+    assert written == expected
+    assert "each wait is capped at an hour" in text and github_client.MAX_HEADER_WAIT == 3600
 
 
 def test_bring_your_own_model_code_runs(tmp_path):
